@@ -8,6 +8,7 @@ because cyclic Jacobi sweeps get too slow inside many-trial experiment loops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,19 +199,22 @@ def _power_spectral_norm(a: np.ndarray, iters: int = _POWER_ITERS, tol: float = 
     # Deterministic pseudo-random start keeps the function pure per call.
     rng = np.random.Generator(np.random.PCG64(0x5EED_0B5E))
     v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)
+    w = a @ v
     estimate = 0.0
     for _ in range(iters):
-        w = a @ v
-        s = float(np.linalg.norm(w))
+        # sqrt(x @ x) is the dot and sqrt np.linalg.norm runs on a real vector.
+        s = math.sqrt(w @ w)
         if s == 0.0:
             return 0.0
         v = a.T @ w
-        nv = float(np.linalg.norm(v))
+        nv = math.sqrt(v @ v)
         if nv == 0.0:
             return s
         v /= nv
-        new_estimate = float(np.linalg.norm(a @ v))
+        # The product that checks convergence is the next iteration's w.
+        w = a @ v
+        new_estimate = math.sqrt(w @ w)
         if estimate > 0.0 and abs(new_estimate - estimate) <= tol * new_estimate:
             return max(new_estimate, estimate)
         estimate = new_estimate

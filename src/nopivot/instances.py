@@ -22,6 +22,9 @@ DEFAULT_NULLITY = 4
 _FULL_MATRIX_RATIO = 1e-12
 _MAX_ATTEMPTS = 5
 _ORTHO_RESIDUAL_TOL = 1e-10
+# Bytes of matrix plus right-hand side the instance cache keeps; enough for
+# 100 trials at n = 64 and n = 256 (about 56 MB).
+CACHE_BYTES = 64 * 2**20
 
 
 @dataclass
@@ -37,6 +40,38 @@ class HardInstance:
     attempt: int = 1
 
 
+class _InstanceCache:
+    """Instances of the latest master seed, keyed by ``(seed, n, h)``.
+
+    A call with another master seed empties it, so memory stays flat while a
+    caller moves through seeds.  It holds at most ``CACHE_BYTES``.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.master = None
+        self.entries = {}
+        self.nbytes = 0
+
+    def get(self, key):
+        master = key[0].master
+        if master != self.master:
+            self.clear()
+            self.master = master
+        return self.entries.get(key)
+
+    def put(self, key, inst: HardInstance) -> None:
+        size = inst.matrix.nbytes + inst.rhs.nbytes
+        if self.nbytes + size <= CACHE_BYTES:
+            self.entries[key] = inst
+            self.nbytes += size
+
+
+_CACHE = _InstanceCache()
+
+
 def _orthonormal_residual(q: np.ndarray) -> float:
     return float(np.linalg.norm(q.T @ q - np.eye(q.shape[0])))
 
@@ -47,12 +82,21 @@ def hard_matrix(seed: randgen.Seed, n: int, h: int = DEFAULT_NULLITY) -> HardIns
     Requires power-of-two n >= 8 and 0 <= h < n/2.  The orthogonal factors
     are validated by their Frobenius orthonormality residual, which pins the
     singular values of the leading block to {1, 0} up to that residual.
+
+    The function is pure, so while ``seed.master`` stays the same an instance
+    is built once per ``(seed, n, h)`` and later calls return that same
+    object, as long as it fits in ``CACHE_BYTES``.  Its ``matrix`` and
+    ``rhs`` are read-only; copy them to modify.
     """
     if not is_power_of_two(n) or n < 8:
         raise ShapeError(f"n must be a power of two >= 8, got {n}")
     k = n // 2
     if not (0 <= h < k):
         raise ShapeError(f"nullity h must satisfy 0 <= h < n/2, got h={h}")
+    key = (seed, n, h)
+    cached = _CACHE.get(key)
+    if cached is not None:
+        return cached
     for attempt in range(1, _MAX_ATTEMPTS + 1):
         attempt_seed = seed.derive("attempt", attempt)
         u = randgen.random_orthonormal(attempt_seed.derive("left-factor"), k)
@@ -82,7 +126,9 @@ def hard_matrix(seed: randgen.Seed, n: int, h: int = DEFAULT_NULLITY) -> HardIns
             continue
         if 1.0 / (inv_norm * smax) <= _FULL_MATRIX_RATIO:
             continue
-        return HardInstance(
+        a.flags.writeable = False
+        rhs.flags.writeable = False
+        inst = HardInstance(
             matrix=a,
             rhs=rhs,
             n=n,
@@ -91,6 +137,8 @@ def hard_matrix(seed: randgen.Seed, n: int, h: int = DEFAULT_NULLITY) -> HardIns
             block_norms={"raw": raw_norms, "inverse_norm": inv_norm, "norm": smax},
             attempt=attempt,
         )
+        _CACHE.put(key, inst)
+        return inst
     raise GenerationError(f"could not generate a nonsingular hard instance in {_MAX_ATTEMPTS} attempts")
 
 
@@ -99,10 +147,7 @@ def instance_inverse_norm_stats(seeds, n: int) -> StatsRow:
     seeds = list(seeds)
     if len(seeds) < 10:
         raise ValueError(f"need at least 10 seeds, got {len(seeds)}")
-    norms = []
-    for s in seeds:
-        inst = hard_matrix(s, n)
-        norms.append(factor.inverse_norm_estimate(inst.matrix))
+    norms = [hard_matrix(s, n).block_norms["inverse_norm"] for s in seeds]
     lo, hi, mean, std = aggregate_stats(norms)
     return StatsRow(dimension=n, iterations=0, min=lo, max=hi, mean=mean, std=std)
 

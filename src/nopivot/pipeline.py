@@ -114,8 +114,6 @@ def apply_multiplier(mult, a, side: str):
     if mult is None:
         return a
     if isinstance(mult, np.ndarray):
-        if np.ndim(a) == 1:
-            return mult @ a if side == "left" else a @ mult
         return mult @ a if side == "left" else a @ mult
     return mult.apply(a, side)
 

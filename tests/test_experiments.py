@@ -73,6 +73,26 @@ class TestRunExperiment:
         parallel = experiments.run_residual_experiment(config, workers=2)
         assert sequential.to_dict() == parallel.to_dict()
 
+    def test_cached_instances_match_fresh_ones(self):
+        # The four scripts/run_tables.py methods on one master seed: the warm
+        # pass reuses the instances the first method built.
+        runs = [
+            ("gepp", None),
+            ("genp", None),
+            ("genp+plan", pipeline.PreconditionPlan(refinement_steps=1)),
+            ("genp+plan", pipeline.PreconditionPlan(left="circulant", right="circulant", refinement_steps=1)),
+        ]
+        configs = [
+            experiments.ExperimentConfig(dims=(16, 32), trials=4, method=method, plan=plan, master_seed=23)
+            for method, plan in runs
+        ]
+        cold = []
+        for config in configs:
+            instances._CACHE.clear()
+            cold.append(experiments.run_residual_experiment(config).to_dict())
+        warm = [experiments.run_residual_experiment(config).to_dict() for config in configs]
+        assert warm == cold
+
     def test_config_echo(self):
         config = experiments.ExperimentConfig(dims=(16,), trials=2, method="gepp", master_seed=19)
         report = experiments.run_residual_experiment(config)

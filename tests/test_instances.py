@@ -51,6 +51,46 @@ class TestConstruction:
             instances.hard_matrix(Seed(0), 16, 8)  # h >= n/2
 
 
+class TestCache:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        instances._CACHE.clear()
+        yield
+        instances._CACHE.clear()
+
+    def test_repeat_returns_read_only_instance(self):
+        first = instances.hard_matrix(Seed(20), 16, 4)
+        again = instances.hard_matrix(Seed(20), 16, 4)
+        assert again is first
+        for array in (again.matrix, again.rhs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_new_master_drops_old_instances(self):
+        old = [instances.hard_matrix(Seed(21).derive(t), 16, 4) for t in range(2)]
+        assert len(instances._CACHE.entries) == 2
+        instances.hard_matrix(Seed(22), 16, 4)
+        assert list(instances._CACHE.entries) == [(Seed(22), 16, 4)]
+        rebuilt = instances.hard_matrix(Seed(21).derive(0), 16, 4)
+        assert rebuilt is not old[0]
+        assert np.array_equal(rebuilt.matrix, old[0].matrix)
+        assert np.array_equal(rebuilt.rhs, old[0].rhs)
+
+    def test_instance_over_budget_returned_not_kept(self, monkeypatch):
+        size = 16 * 16 * 8 + 16 * 8
+        monkeypatch.setattr(instances, "CACHE_BYTES", size + size // 2)
+        kept = instances.hard_matrix(Seed(23).derive(0), 16, 4)
+        over = instances.hard_matrix(Seed(23).derive(1), 16, 4)
+        assert instances._CACHE.nbytes == size
+        assert list(instances._CACHE.entries) == [(Seed(23).derive(0), 16, 4)]
+        assert instances.hard_matrix(Seed(23).derive(0), 16, 4) is kept
+        again = instances.hard_matrix(Seed(23).derive(1), 16, 4)
+        assert again is not over
+        assert np.array_equal(again.matrix, over.matrix)
+        assert not over.matrix.flags.writeable
+
+
 class TestInverseNorms:
     def test_bracket_at_64(self):
         # 100 instances land inside the generous inverse-norm bracket.
