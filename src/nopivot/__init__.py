@@ -14,7 +14,6 @@ from .dense import (
     inverse_norm,
     jacobi_svd,
     leading_block,
-    mat_mul,
     numerical_rank,
     read_matrix,
     singular_values,
@@ -67,10 +66,7 @@ from .transforms import (
     CirculantOperator,
     HankelOperator,
     ToeplitzOperator,
-    circulant_apply,
     fft,
-    materialize,
-    toeplitz_apply,
 )
 
 __version__ = "0.1.0"

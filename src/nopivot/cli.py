@@ -151,8 +151,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     a = dense.read_matrix(args.matrix)
-    rhs_matrix = dense.read_matrix(args.rhs)
-    b = rhs_matrix[:, 0] if rhs_matrix.ndim == 2 else rhs_matrix
+    b = dense.read_matrix(args.rhs)[:, 0]
     plan = pipeline.PreconditionPlan(
         left=None if args.left == "none" else args.left,
         right=None if args.right == "none" else args.right,

@@ -79,15 +79,6 @@ class QrResult:
     r_factor: np.ndarray
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape checking."""
-    a = require_matrix(a, "left operand")
-    b = require_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def leading_block(a, k: int, l: int) -> np.ndarray:
     """Northwestern k-by-l block of ``a``."""
     a = require_matrix(a)

@@ -1,12 +1,17 @@
 """Gaussian elimination variants and the pivot-safety monitor.
 
-Three factorizations share one triangular-solve backend:
+Three factorizations:
 
 * ``genp_factor``     -- no pivoting; aborts on a pivot at/below threshold.
 * ``gepp_factor``     -- partial pivoting baseline.
 * ``block_genp_factor`` -- recursive block elimination driven by a pivot-size
   schedule; stores the block factors implicitly (in-place Schur updates) and
   materializes triangular factors only on request.
+
+``genp_factor`` and ``gepp_factor`` run the same rank-1 elimination step
+(``_eliminate``).  Every triangular solve -- L and U in ``lu_solve``, U^T and
+L^T in ``gepp_solve_transpose`` -- goes through one row substitution,
+``_substitute``, forward for lower and backward for upper triangles.
 
 Every elimination produces a :class:`SafetyReport` of pivot statistics.
 ``safety_check`` verifies the recorded norms against the bounds
@@ -187,6 +192,17 @@ def _monitor_norm(block: np.ndarray, monitor: str) -> float:
     return float(np.linalg.norm(block))
 
 
+def _start_report(a: np.ndarray, monitor: str) -> SafetyReport:
+    if monitor not in ("frobenius", "spectral"):
+        raise ValueError(f"monitor must be 'frobenius' or 'spectral', got {monitor!r}")
+    return SafetyReport(
+        n=a.shape[0],
+        input_norm=dense.spectral_norm_estimate(a),
+        monitor=monitor,
+        input_monitor_norm=_monitor_norm(a, monitor),
+    )
+
+
 def _sigma_extremes(a: np.ndarray) -> tuple[float, float]:
     """(sigma_min, sigma_max); Jacobi at small sizes, estimates above."""
     if min(a.shape) <= dense.JACOBI_MAX_DIM:
@@ -200,6 +216,25 @@ def _sigma_extremes(a: np.ndarray) -> tuple[float, float]:
     return 1.0 / inv, smax
 
 
+def _factor_pivot_block(pivot: np.ndarray, step: int):
+    """(GEPP factors, sigma_min, sigma_max) of a pivot block, or SingularPivotBlockError."""
+    smin, smax = _sigma_extremes(pivot)
+    if smin <= _PIVOT_BLOCK_RATIO * smax:
+        raise SingularPivotBlockError(step=step, sigma_min=smin, sigma_max=smax)
+    return gepp_factor(pivot), smin, smax
+
+
+def _eliminate(work: np.ndarray, lower: np.ndarray, k: int) -> None:
+    """Rank-1 step k: store the multipliers in ``lower``, update the trailing block.
+
+    Column k of ``work`` below the pivot is left in place; callers keep only
+    ``np.triu(work)``.
+    """
+    mults = work[k + 1 :, k] / work[k, k]
+    lower[k + 1 :, k] = mults
+    work[k + 1 :, k + 1 :] -= np.outer(mults, work[k, k + 1 :])
+
+
 def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str = "frobenius"):
     """LU factorization with no pivoting.
 
@@ -211,27 +246,17 @@ def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str = "frobenius"
     a = _require_square(a)
     if zero_pivot_threshold < 0:
         raise ValueError("zero_pivot_threshold must be nonnegative")
-    if monitor not in ("frobenius", "spectral"):
-        raise ValueError(f"monitor must be 'frobenius' or 'spectral', got {monitor!r}")
+    report = _start_report(a, monitor)
     n = a.shape[0]
     work = a.copy()
     lower = np.eye(n)
-    report = SafetyReport(
-        n=n,
-        input_norm=dense.spectral_norm_estimate(a),
-        monitor=monitor,
-        input_monitor_norm=_monitor_norm(a, monitor),
-    )
     for k in range(n):
         pivot = work[k, k]
         if abs(pivot) <= zero_pivot_threshold:
             raise ZeroPivotError(step=k + 1, pivot=float(pivot))
         comp_norm = None
         if k < n - 1:
-            mults = work[k + 1 :, k] / pivot
-            lower[k + 1 :, k] = mults
-            work[k + 1 :, k + 1 :] -= np.outer(mults, work[k, k + 1 :])
-            work[k + 1 :, k] = 0.0
+            _eliminate(work, lower, k)
             comp_norm = _monitor_norm(work[k + 1 :, k + 1 :], monitor)
         report.records.append(
             PivotRecord(
@@ -263,75 +288,57 @@ def gepp_factor(a) -> GeppFactorization:
             perm[[k, p]] = perm[[p, k]]
             if k > 0:
                 lower[[k, p], :k] = lower[[p, k], :k]
-        if k < n - 1:
-            mults = work[k + 1 :, k] / work[k, k]
-            lower[k + 1 :, k] = mults
-            work[k + 1 :, k + 1 :] -= np.outer(mults, work[k, k + 1 :])
-            work[k + 1 :, k] = 0.0
+        _eliminate(work, lower, k)
     return GeppFactorization(perm, lower, np.triu(work))
 
 
-def _solve_unit_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _substitute(t: np.ndarray, b: np.ndarray, lower: bool, unit: bool) -> np.ndarray:
+    """Solve t x = b for triangular t, one row at a time (1-D or 2-D b).
+
+    Rows run forward for a lower triangle and backward for an upper one; a
+    unit triangle's stored diagonal is ignored.  Otherwise a zero on the
+    diagonal raises SingularMatrixError at the first such row in solve order.
+    """
     x = np.array(b, dtype=float, copy=True)
-    for i in range(1, lower.shape[0]):
-        x[i] -= lower[i, :i] @ x[:i]
+    n = t.shape[0]
+    diag = t.diagonal().tolist()
+    for i in range(n) if lower else reversed(range(n)):
+        if lower:
+            x[i] -= t[i, :i] @ x[:i]
+        else:
+            x[i] -= t[i, i + 1 :] @ x[i + 1 :]
+        if not unit:
+            if diag[i] == 0.0:
+                raise SingularMatrixError("zero diagonal entry", step=i + 1)
+            x[i] /= diag[i]
     return x
 
 
-def _solve_upper(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.array(b, dtype=float, copy=True)
-    for i in reversed(range(upper.shape[0])):
-        d = upper[i, i]
-        if d == 0.0:
-            raise SingularMatrixError("zero diagonal entry in U", step=i + 1)
-        if i + 1 < upper.shape[0]:
-            x[i] -= upper[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= d
-    return x
-
-
-def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.array(b, dtype=float, copy=True)
-    for i in range(lower.shape[0]):
-        d = lower[i, i]
-        if d == 0.0:
-            raise SingularMatrixError("zero diagonal entry", step=i + 1)
-        if i > 0:
-            x[i] -= lower[i, :i] @ x[:i]
-        x[i] /= d
-    return x
-
-
-def _solve_unit_upper(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.array(b, dtype=float, copy=True)
-    for i in reversed(range(upper.shape[0] - 1)):
-        x[i] -= upper[i, i + 1 :] @ x[i + 1 :]
-    return x
+def _rhs(b, n: int) -> np.ndarray:
+    rhs = np.asarray(b, dtype=float)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ShapeError(f"right-hand side of shape {rhs.shape} does not match order {n}")
+    return rhs
 
 
 def lu_solve(fact, b) -> np.ndarray:
     """Solve with a GENP, GEPP, or block factorization (1-D or 2-D rhs)."""
-    rhs = np.asarray(b, dtype=float)
-    if isinstance(fact, GenpFactorization):
-        if rhs.shape[0] != fact.l_factor.shape[0]:
-            raise ShapeError("right-hand side length does not match factorization")
-        return _solve_upper(fact.u_factor, _solve_unit_lower(fact.l_factor, rhs))
-    if isinstance(fact, GeppFactorization):
-        if rhs.shape[0] != fact.l_factor.shape[0]:
-            raise ShapeError("right-hand side length does not match factorization")
-        return _solve_upper(fact.u_factor, _solve_unit_lower(fact.l_factor, rhs[fact.permutation]))
     if isinstance(fact, BlockFactorization):
-        if rhs.shape[0] != fact.n:
-            raise ShapeError("right-hand side length does not match factorization")
-        return fact.solve(rhs)
-    raise TypeError(f"unsupported factorization type {type(fact)!r}")
+        return fact.solve(_rhs(b, fact.n))
+    if not isinstance(fact, (GenpFactorization, GeppFactorization)):
+        raise TypeError(f"unsupported factorization type {type(fact)!r}")
+    rhs = _rhs(b, fact.l_factor.shape[0])
+    if isinstance(fact, GeppFactorization):
+        rhs = rhs[fact.permutation]
+    y = _substitute(fact.l_factor, rhs, lower=True, unit=True)
+    return _substitute(fact.u_factor, y, lower=False, unit=False)
 
 
 def gepp_solve_transpose(fact: GeppFactorization, b) -> np.ndarray:
     """Solve A^T x = b given P A = L U (so A^T = U^T L^T P)."""
-    rhs = np.asarray(b, dtype=float)
-    t = _solve_lower(fact.u_factor.T, rhs)
-    s = _solve_unit_upper(fact.l_factor.T, t)
+    rhs = _rhs(b, fact.l_factor.shape[0])
+    t = _substitute(fact.u_factor.T, rhs, lower=True, unit=False)
+    s = _substitute(fact.l_factor.T, t, lower=False, unit=True)
     x = np.empty_like(s)
     x[fact.permutation] = s
     return x
@@ -399,11 +406,7 @@ def schur_complement(a, k: int) -> np.ndarray:
         raise ShapeError(f"block size k={k} out of range for n={n}")
     if k == n:
         return np.zeros((0, 0))
-    pivot = a[:k, :k]
-    smin, smax = _sigma_extremes(pivot)
-    if smin <= _PIVOT_BLOCK_RATIO * smax:
-        raise SingularPivotBlockError(step=1, sigma_min=smin, sigma_max=smax)
-    bfact = gepp_factor(pivot)
+    bfact, _, _ = _factor_pivot_block(a[:k, :k], step=1)
     return a[k:, k:] - a[k:, :k] @ lu_solve(bfact, a[:k, k:])
 
 
@@ -430,26 +433,15 @@ def block_genp_factor(
     n = a.shape[0]
     if sum(sizes) != n:
         raise ShapeError(f"schedule {sizes} does not sum to n={n}")
-    if monitor not in ("frobenius", "spectral"):
-        raise ValueError(f"monitor must be 'frobenius' or 'spectral', got {monitor!r}")
-
+    report = _start_report(a, monitor)
     work = a.copy()
-    report = SafetyReport(
-        n=n,
-        input_norm=dense.spectral_norm_estimate(a),
-        monitor=monitor,
-        input_monitor_norm=_monitor_norm(a, monitor),
-    )
     steps: list[BlockStep] = []
     complements: dict[int, np.ndarray] = {}
     offset = 0
     for step_idx, d in enumerate(sizes, start=1):
         lo, hi = offset, offset + d
         pivot = work[lo:hi, lo:hi].copy()
-        smin, smax = _sigma_extremes(pivot)
-        if smin <= _PIVOT_BLOCK_RATIO * smax:
-            raise SingularPivotBlockError(step=step_idx, sigma_min=smin, sigma_max=smax)
-        bfact = gepp_factor(pivot)
+        bfact, smin, smax = _factor_pivot_block(pivot, step_idx)
         rest = n - hi
         if rest > 0:
             c_block = work[lo:hi, hi:].copy()

@@ -57,6 +57,10 @@ class SolveFailure:
     seed: randgen.Seed
 
 
+def _failure(exc: Exception, plan: PreconditionPlan, seed: randgen.Seed) -> SolveFailure:
+    return SolveFailure(type(exc).__name__, getattr(exc, "step", None), str(exc), plan, seed)
+
+
 @dataclass
 class SolveOutcome:
     """Solution plus residual history and the elimination safety report.
@@ -153,19 +157,12 @@ def preconditioned_solve(a, b, plan: PreconditionPlan, seed: randgen.Seed) -> So
         fact, safety = factor.genp_factor(preconditioned, plan.zero_pivot_threshold)
         y = factor.lu_solve(fact, rhs)
     except (ZeroPivotError, factor.SingularMatrixError) as exc:
-        failure = SolveFailure(
-            kind=type(exc).__name__,
-            step=getattr(exc, "step", None),
-            message=str(exc),
-            plan=plan,
-            seed=seed,
-        )
         return SolveOutcome(
             solution=None,
             relative_residual=math.inf,
             residual_history=[],
             safety=None,
-            failure=failure,
+            failure=_failure(exc, plan, seed),
         )
 
     x = apply_multiplier(right, y, "left")
@@ -174,19 +171,12 @@ def preconditioned_solve(a, b, plan: PreconditionPlan, seed: randgen.Seed) -> So
         try:
             x = refine_once(a, fact, left, right, x, b)
         except NopivotError as exc:
-            failure = SolveFailure(
-                kind=type(exc).__name__,
-                step=getattr(exc, "step", None),
-                message=str(exc),
-                plan=plan,
-                seed=seed,
-            )
             return SolveOutcome(
                 solution=x,
                 relative_residual=history[-1],
                 residual_history=history,
                 safety=safety,
-                failure=failure,
+                failure=_failure(exc, plan, seed),
             )
         history.append(relative_residual(a, x, b))
     return SolveOutcome(

@@ -173,11 +173,7 @@ class CirculantOperator:
 
     def apply(self, a, side: str = "left") -> np.ndarray:
         if side == "right":
-            arr = np.asarray(a, dtype=float)
-            if arr.ndim == 1:
-                # row vector times C
-                return self.transpose().apply(arr, "left")
-            return self.transpose().apply(arr.T, "left").T
+            return self.transpose().apply(np.asarray(a, dtype=float).T, "left").T
         if side != "left":
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         if self.spectrum is None:
@@ -242,10 +238,7 @@ class ToeplitzOperator:
     def apply(self, a, side: str = "left") -> np.ndarray:
         m, n = self.shape
         if side == "right":
-            arr = np.asarray(a, dtype=float)
-            if arr.ndim == 1:
-                return self.transpose().apply(arr, "left")
-            return self.transpose().apply(arr.T, "left").T
+            return self.transpose().apply(np.asarray(a, dtype=float).T, "left").T
         if side != "left":
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         arr, was_vector = _as_columns(a, n, "left-apply")
@@ -281,15 +274,3 @@ class HankelOperator:
             flipped = arr[::-1] if arr.ndim == 1 else arr[:, ::-1]
             return self.toeplitz.apply(flipped, "right")
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def circulant_apply(op: CirculantOperator, a, side: str = "left") -> np.ndarray:
-    return op.apply(a, side)
-
-
-def toeplitz_apply(op: ToeplitzOperator, a, side: str = "left") -> np.ndarray:
-    return op.apply(a, side)
-
-
-def materialize(op) -> np.ndarray:
-    return op.materialize()

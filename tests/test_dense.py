@@ -10,52 +10,7 @@ from nopivot.errors import ShapeError, SingularMatrixError, SizeError
 RNG = np.random.default_rng
 
 
-def triple_loop_matmul(a, b):
-    """Independent O(mnk) oracle for the matrix product."""
-    m, k = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 finite_entries = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
-
-
-class TestMatMul:
-    def test_identity(self):
-        m = RNG(0).standard_normal((3, 5))
-        assert np.array_equal(dense.mat_mul(np.eye(3), m), m)
-
-    def test_hand_example(self):
-        out = dense.mat_mul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-        assert np.array_equal(out, [[2.0], [4.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = RNG(1)
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((4, 3))
-        assert np.allclose(dense.mat_mul(a, b), triple_loop_matmul(a, b), atol=1e-12)
-
-    @given(
-        arrays(float, (3, 4), elements=finite_entries),
-        arrays(float, (4, 2), elements=finite_entries),
-    )
-    def test_triple_loop_property(self, a, b):
-        assert np.allclose(dense.mat_mul(a, b), triple_loop_matmul(a, b), atol=1e-9)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            dense.mat_mul(np.eye(2), np.eye(3))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ShapeError):
-            dense.mat_mul(np.array([[np.nan, 0.0]]), np.eye(2))
 
 
 class TestSpectralNorm:

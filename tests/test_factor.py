@@ -151,11 +151,56 @@ class TestLuSolve:
         fact = factor.GenpFactorization(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(SingularMatrixError):
             factor.lu_solve(fact, np.ones(2))
+        # Zeros at rows 2 and 3 of U: the backward U solve meets row 3 first,
+        # the forward U^T solve row 2.
+        u = np.triu(RNG(11).standard_normal((4, 4))) + 4 * np.eye(4)
+        u[1, 1] = u[2, 2] = 0.0
+        gepp = factor.GeppFactorization(np.arange(4), np.eye(4), u)
+        for fact in (factor.GenpFactorization(np.eye(4), u), gepp):
+            with pytest.raises(SingularMatrixError) as info:
+                factor.lu_solve(fact, np.ones(4))
+            assert info.value.step == 3
+        with pytest.raises(SingularMatrixError) as info:
+            factor.gepp_solve_transpose(gepp, np.ones(4))
+        assert info.value.step == 2
 
     def test_dimension_mismatch(self):
         fact, _ = factor.genp_factor(np.eye(3))
         with pytest.raises(ShapeError):
             factor.lu_solve(fact, np.ones(4))
+        a = spd_like(3, 4)
+        genp, _ = factor.genp_factor(a)
+        gepp = factor.gepp_factor(a)
+        for b in (np.float64(1.0), np.ones((4, 2, 2))):
+            with pytest.raises(ShapeError):
+                factor.lu_solve(gepp, b)
+        for length in (3, 5):
+            for b in (np.ones(length), np.ones((length, 2))):
+                for fact in (genp, gepp):
+                    with pytest.raises(ShapeError):
+                        factor.lu_solve(fact, b)
+                with pytest.raises(ShapeError):
+                    factor.gepp_solve_transpose(gepp, b)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("method", ["genp", "gepp"])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_linalg_solve_oracle(self, n, columns, method, transpose):
+        rng = RNG(100 + n)
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal(n if columns is None else (n, columns))
+        if method == "genp":
+            genp, _ = factor.genp_factor(a)
+            fact = factor.GeppFactorization(np.arange(n), genp.l_factor, genp.u_factor)
+        else:
+            fact = factor.gepp_factor(a)
+        if transpose:
+            x, expected = factor.gepp_solve_transpose(fact, b), np.linalg.solve(a.T, b)
+        else:
+            x, expected = factor.lu_solve(fact, b), np.linalg.solve(a, b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_transpose_solve(self):
         a = RNG(9).standard_normal((10, 10)) + 3 * np.eye(10)
