@@ -1,7 +1,7 @@
 """Randomized multipliers that make Gaussian elimination without pivoting safe.
 
 The package bundles the dense kernels (Jacobi SVD, Householder QR, norms),
-the elimination variants with their safety monitor, FFT-backed structured
+the elimination variants with their opt-in safety monitor, FFT-backed structured
 multipliers, seeded random generators, hard-instance construction, the
 preconditioned solve pipeline, and the experiment / verification harness.
 """

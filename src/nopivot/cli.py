@@ -87,11 +87,7 @@ def _open_out(args):
 def _cmd_experiment(args) -> int:
     plan = None
     if args.method == "genp+plan":
-        plan = pipeline.PreconditionPlan(
-            left=None if args.left == "none" else args.left,
-            right=None if args.right == "none" else args.right,
-            refinement_steps=args.refine,
-        )
+        plan = pipeline.PreconditionPlan(left=args.left, right=args.right, refinement_steps=args.refine)
     config = experiments.ExperimentConfig(
         dims=args.dims,
         trials=args.trials,
@@ -152,11 +148,7 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     a = dense.read_matrix(args.matrix)
     b = dense.read_matrix(args.rhs)[:, 0]
-    plan = pipeline.PreconditionPlan(
-        left=None if args.left == "none" else args.left,
-        right=None if args.right == "none" else args.right,
-        refinement_steps=args.refine,
-    )
+    plan = pipeline.PreconditionPlan(left=args.left, right=args.right, refinement_steps=args.refine)
     outcome = pipeline.preconditioned_solve(a, b, plan, Seed(args.seed).derive("solve"))
     if args.json:
         payload = {
@@ -171,7 +163,7 @@ def _cmd_solve(args) -> int:
             "safety": None
             if outcome.safety is None
             else {
-                "growth_factor": outcome.safety.growth_factor,
+                "u_growth": outcome.safety.u_growth,
                 "min_pivot": float(np.min(outcome.safety.pivot_magnitudes)),
                 "max_pivot": float(np.max(outcome.safety.pivot_magnitudes)),
             },
@@ -206,10 +198,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except NopivotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NopivotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -224,7 +224,7 @@ def spectral_norm_estimate(a) -> float:
     """Power-iteration estimate of the spectral norm at any size.
 
     Accurate to far better than a percent on generic matrices; meant for
-    screening and monitoring inside many-trial loops where the Jacobi-grade
+    instance screening inside many-trial loops where the Jacobi-grade
     ``spectral_norm`` would dominate the runtime.
     """
     return _power_spectral_norm(require_matrix(a))

@@ -43,6 +43,8 @@ class ExperimentConfig:
         for n in self.dims:
             if not is_power_of_two(n) or n < 8:
                 raise ValueError(f"dimensions must be powers of two >= 8, got {n}")
+            if not 0 <= self.nullity < n // 2:
+                raise ValueError(f"nullity must satisfy 0 <= nullity < n/2, got {self.nullity} at n={n}")
 
     def describe(self) -> dict:
         plan = None

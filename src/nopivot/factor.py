@@ -1,4 +1,4 @@
-"""Gaussian elimination variants and the pivot-safety monitor.
+"""Gaussian elimination variants and the opt-in pivot-safety monitor.
 
 Three factorizations:
 
@@ -13,11 +13,15 @@ Three factorizations:
 L^T in ``gepp_solve_transpose`` -- goes through one row substitution,
 ``_substitute``, forward for lower and backward for upper triangles.
 
-Every elimination produces a :class:`SafetyReport` of pivot statistics.
-``safety_check`` verifies the recorded norms against the bounds
-``N_+ = N + N_- N^2`` (pivot norms) and ``N_-`` (inverses), where ``N = ||A||``
-and ``N_-`` is the largest inverse norm over leading blocks, and compares the
-observed growth factor to ``(N_+ N_-)^(log2 n)``.
+Every elimination produces a :class:`SafetyReport` of pivot statistics, and
+``genp_factor`` adds the final-factor growth max|U| / max|A|.  The monitor is
+opt-in and exact: ``monitor="spectral"`` records ``||A||_2`` and the spectral
+norm of every trailing Schur complement (an SVD per step); the default
+``monitor=None`` records pivots only.  ``safety_check`` verifies the recorded
+norms against the bounds ``N_+ = N + N_- N^2`` (pivot norms) and ``N_-``
+(inverses), where ``N = ||A||`` and ``N_-`` is the largest inverse norm over
+leading blocks, and compares the observed growth factor to
+``(N_+ N_-)^(log2 n)``.
 """
 
 from __future__ import annotations
@@ -90,24 +94,27 @@ class PivotRecord:
 class SafetyReport:
     """Norm bookkeeping of one elimination run.
 
-    ``monitor`` names the norm used for trailing Schur complements:
-    "spectral" is exact but costs an SVD per step, "frobenius" is a cheap
-    upper bound suitable inside many-trial loops.  Pivot norms are always
-    spectral (for scalar pivots they are exact magnitudes).
+    Pivot norms are always recorded, spectral (for scalar pivots they are
+    exact magnitudes).  With ``monitor="spectral"`` the run also records
+    ``input_norm = ||A||_2`` and the exact spectral norm of every trailing
+    Schur complement, at an SVD per step; with ``monitor=None`` both stay
+    None and ``growth_factor`` is 1.0.  ``u_growth`` is max|U| / max|A| of
+    the final GENP factor, O(n^2) and always filled by ``genp_factor`` (None
+    for block elimination); unlike ``growth_factor`` it can be below 1.
     """
 
     n: int
-    input_norm: float
-    monitor: str
-    input_monitor_norm: float
+    monitor: str | None
+    input_norm: float | None = None
+    u_growth: float | None = None
     records: list[PivotRecord] = field(default_factory=list)
 
     @property
     def growth_factor(self) -> float:
         worst = 1.0
         for rec in self.records:
-            if rec.complement_norm is not None and self.input_monitor_norm > 0:
-                worst = max(worst, rec.complement_norm / self.input_monitor_norm)
+            if rec.complement_norm is not None and self.input_norm > 0:
+                worst = max(worst, rec.complement_norm / self.input_norm)
         return worst
 
     @property
@@ -184,23 +191,11 @@ def _require_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _monitor_norm(block: np.ndarray, monitor: str) -> float:
-    if block.size == 0:
-        return 0.0
-    if monitor == "spectral":
-        return dense.spectral_norm(block)
-    return float(np.linalg.norm(block))
-
-
-def _start_report(a: np.ndarray, monitor: str) -> SafetyReport:
-    if monitor not in ("frobenius", "spectral"):
-        raise ValueError(f"monitor must be 'frobenius' or 'spectral', got {monitor!r}")
-    return SafetyReport(
-        n=a.shape[0],
-        input_norm=dense.spectral_norm_estimate(a),
-        monitor=monitor,
-        input_monitor_norm=_monitor_norm(a, monitor),
-    )
+def _start_report(a: np.ndarray, monitor: str | None) -> SafetyReport:
+    if monitor not in (None, "spectral"):
+        raise ValueError(f"monitor must be None or 'spectral', got {monitor!r}")
+    norm = dense.spectral_norm(a) if monitor else None
+    return SafetyReport(n=a.shape[0], monitor=monitor, input_norm=norm)
 
 
 def _sigma_extremes(a: np.ndarray) -> tuple[float, float]:
@@ -235,13 +230,14 @@ def _eliminate(work: np.ndarray, lower: np.ndarray, k: int) -> None:
     work[k + 1 :, k + 1 :] -= np.outer(mults, work[k, k + 1 :])
 
 
-def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str = "frobenius"):
+def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str | None = None):
     """LU factorization with no pivoting.
 
     Continues through arbitrarily small (nonzero) pivots so that instability
     shows up in the solution rather than as an early abort; every pivot
-    magnitude and trailing-complement norm lands in the safety report.
-    Raises ZeroPivotError when |pivot| <= zero_pivot_threshold.
+    magnitude, the final growth max|U| / max|A| and, under
+    ``monitor="spectral"``, every trailing-complement norm land in the
+    safety report.  Raises ZeroPivotError when |pivot| <= zero_pivot_threshold.
     """
     a = _require_square(a)
     if zero_pivot_threshold < 0:
@@ -257,7 +253,8 @@ def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str = "frobenius"
         comp_norm = None
         if k < n - 1:
             _eliminate(work, lower, k)
-            comp_norm = _monitor_norm(work[k + 1 :, k + 1 :], monitor)
+            if monitor:
+                comp_norm = dense.spectral_norm(work[k + 1 :, k + 1 :])
         report.records.append(
             PivotRecord(
                 step=k + 1,
@@ -267,7 +264,9 @@ def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str = "frobenius"
                 complement_norm=comp_norm,
             )
         )
-    return GenpFactorization(lower, np.triu(work)), report
+    upper = np.triu(work)
+    report.u_growth = float(max(upper.max(), -upper.min()) / max(a.max(), -a.min()))
+    return GenpFactorization(lower, upper), report
 
 
 def gepp_factor(a) -> GeppFactorization:
@@ -413,7 +412,7 @@ def schur_complement(a, k: int) -> np.ndarray:
 def block_genp_factor(
     a,
     schedule,
-    monitor: str = "spectral",
+    monitor: str | None = None,
     record_complements: bool = False,
 ):
     """Recursive block elimination following a pivot-size schedule.
@@ -450,8 +449,7 @@ def block_genp_factor(
             col_mult = gepp_solve_transpose(bfact, d_block.T).T
             work[hi:, hi:] -= d_block @ row_mult
             comp = work[hi:, hi:]
-            comp_smin, comp_smax = _sigma_extremes(comp) if monitor == "spectral" else (None, None)
-            comp_norm = comp_smax if monitor == "spectral" else _monitor_norm(comp, monitor)
+            comp_smin, comp_norm = _sigma_extremes(comp) if monitor else (None, None)
             comp_inv = (1.0 / comp_smin) if (comp_smin not in (None, 0.0)) else None
             if record_complements:
                 complements[hi] = comp.copy()
@@ -494,7 +492,6 @@ class SafetyCheckResult:
     gepp_growth_bound: float
     violations: list[tuple[int, str, float, float]]
     singular_block: int | None
-    checked_sizes: list[int]
     margin: float | None = None
 
 
@@ -520,16 +517,16 @@ def safety_check(a, report: SafetyReport) -> SafetyCheckResult:
     """
     a = _require_square(a)
     n = a.shape[0]
-    sizes = _leading_block_sizes(n)
+    norm = dense.spectral_norm(a)
     gepp_bound = float(2.0 ** (n - 1))
     n_minus = 0.0
-    for j in sizes:
+    for j in _leading_block_sizes(n):
         smin, smax = _sigma_extremes(a[:j, :j])
         if smin <= _PIVOT_BLOCK_RATIO * smax:
             return SafetyCheckResult(
                 strongly_nonsingular=False,
                 verdict=None,
-                input_norm=report.input_norm,
+                input_norm=norm,
                 max_inverse_norm=None,
                 pivot_bound=None,
                 growth_factor=report.growth_factor,
@@ -537,17 +534,15 @@ def safety_check(a, report: SafetyReport) -> SafetyCheckResult:
                 gepp_growth_bound=gepp_bound,
                 violations=[],
                 singular_block=j,
-                checked_sizes=sizes,
             )
         n_minus = max(n_minus, 1.0 / smin)
-    norm = dense.spectral_norm(a)
     n_plus = norm + n_minus * norm * norm
     slack = 1.0 + _SAFETY_SLACK
     violations: list[tuple[int, str, float, float]] = []
     worst = 0.0
     for rec in report.records:
         checks = [("pivot norm", rec.pivot_norm, n_plus), ("pivot inverse norm", rec.pivot_inverse_norm, n_minus)]
-        if rec.complement_norm is not None and report.monitor == "spectral":
+        if rec.complement_norm is not None:
             checks.append(("complement norm", rec.complement_norm, n_plus))
         if rec.complement_inverse_norm is not None:
             checks.append(("complement inverse norm", rec.complement_inverse_norm, n_minus))
@@ -556,8 +551,7 @@ def safety_check(a, report: SafetyReport) -> SafetyCheckResult:
             if value > bound * slack:
                 violations.append((rec.step, label, value, bound))
     growth_bound = float((n_plus * n_minus) ** np.log2(n)) if n > 1 else 1.0
-    growth_ok = report.monitor != "spectral" or report.growth_factor <= growth_bound * slack
-    if report.monitor == "spectral" and not growth_ok:
+    if report.growth_factor > growth_bound * slack:
         violations.append((0, "growth factor", report.growth_factor, growth_bound))
     return SafetyCheckResult(
         strongly_nonsingular=True,
@@ -570,6 +564,5 @@ def safety_check(a, report: SafetyReport) -> SafetyCheckResult:
         gepp_growth_bound=gepp_bound,
         violations=violations,
         singular_block=None,
-        checked_sizes=sizes,
         margin=worst,
     )

@@ -26,7 +26,11 @@ MATERIALIZE_BELOW = 128
 
 @dataclass(frozen=True)
 class PreconditionPlan:
-    """Which multipliers to draw on each side, plus solve options."""
+    """Which multipliers to draw on each side, plus solve options.
+
+    None means no multiplier on that side; the string "none" is accepted as
+    an alias and stored as None.
+    """
 
     left: str | None = "gaussian"
     right: str | None = "gaussian"
@@ -35,17 +39,16 @@ class PreconditionPlan:
     finite_set: randgen.FiniteSet = DEFAULT_FINITE_SET
 
     def __post_init__(self):
-        for side, kind in (("left", self.left), ("right", self.right)):
-            if kind is not None and kind != "none" and kind not in MULTIPLIER_KINDS:
+        for side in ("left", "right"):
+            kind = getattr(self, side)
+            if kind == "none":
+                object.__setattr__(self, side, None)
+            elif kind is not None and kind not in MULTIPLIER_KINDS:
                 raise ValueError(f"unknown {side} multiplier kind {kind!r}")
         if self.refinement_steps < 0:
             raise ValueError("refinement_steps must be nonnegative")
         if self.zero_pivot_threshold < 0:
             raise ValueError("zero_pivot_threshold must be nonnegative")
-
-    def side_kind(self, side: str) -> str | None:
-        kind = self.left if side == "left" else self.right
-        return None if kind in (None, "none") else kind
 
 
 @dataclass
@@ -95,7 +98,7 @@ def relative_residual(a, x, b) -> float:
 
 def build_multiplier(kind: str | None, n: int, seed: randgen.Seed, finite_set=DEFAULT_FINITE_SET):
     """Draw one multiplier; None means the identity (no multiplication)."""
-    if kind in (None, "none"):
+    if kind is None:
         return None
     if kind == "gaussian":
         return randgen.gaussian_matrix(seed, n, n)
@@ -146,8 +149,8 @@ def preconditioned_solve(a, b, plan: PreconditionPlan, seed: randgen.Seed) -> So
     if b.shape[0] != n:
         raise ShapeError(f"right-hand side length {b.shape[0]} does not match n={n}")
 
-    left = build_multiplier(plan.side_kind("left"), n, seed.derive("left-multiplier"), plan.finite_set)
-    right = build_multiplier(plan.side_kind("right"), n, seed.derive("right-multiplier"), plan.finite_set)
+    left = build_multiplier(plan.left, n, seed.derive("left-multiplier"), plan.finite_set)
+    right = build_multiplier(plan.right, n, seed.derive("right-multiplier"), plan.finite_set)
 
     preconditioned = apply_multiplier(left, a, "left")
     preconditioned = apply_multiplier(right, preconditioned, "right")

@@ -136,6 +136,21 @@ def _as_columns(a, rows: int, side_name: str) -> tuple[np.ndarray, bool]:
     return arr, was_vector
 
 
+def _spectral_product(spectrum: np.ndarray, arr: np.ndarray, rows: int) -> np.ndarray:
+    """First ``rows`` rows of C @ arr, C the circulant with eigenvalues ``spectrum``.
+
+    ``arr`` may have fewer rows than C; it is zero-padded to C's order.
+    """
+    length = spectrum.size
+    spec = np.zeros((length, arr.shape[1]), dtype=np.complex128)
+    spec[: arr.shape[0]] = arr
+    # Rebinding drops the padded input before the inverse transform allocates.
+    spec = _fft_columns(spec, inverse=False)
+    spec *= spectrum[:, None]
+    op_counter.add(mults=length * arr.shape[1])
+    return _fft_columns(spec, inverse=True).real[:rows]
+
+
 class CirculantOperator:
     """Circulant matrix C with entries c[(i - j) mod n], stored by first column.
 
@@ -179,10 +194,7 @@ class CirculantOperator:
         if self.spectrum is None:
             raise ShapeError(f"fast circulant apply needs power-of-two n, got {self.n}")
         arr, was_vector = _as_columns(a, self.n, "left-apply")
-        spec = _fft_columns(arr.astype(np.complex128), inverse=False)
-        spec *= self.spectrum[:, None]
-        op_counter.add(mults=self.n * arr.shape[1])
-        out = _fft_columns(spec, inverse=True).real
+        out = _spectral_product(self.spectrum, arr, self.n)
         return out[:, 0] if was_vector else out
 
 
@@ -224,16 +236,17 @@ class ToeplitzOperator:
             self.first_row[np.clip(-diff, 0, n - 1)],
         )
 
-    def _embedding(self) -> tuple[int, np.ndarray]:
-        m, n = self.shape
-        length = next_power_of_two(m + n - 1)
+    def _embedding(self) -> np.ndarray:
+        """Spectrum of the power-of-two circulant that embeds this operator."""
         if self._embed_spectrum is None:
+            m, n = self.shape
+            length = next_power_of_two(m + n - 1)
             c = np.zeros(length)
             c[:m] = self.first_column
             if n > 1:
                 c[length - (n - 1) :] = self.first_row[1:][::-1]
             self._embed_spectrum = _fft_columns(c.astype(np.complex128)[:, None], inverse=False)[:, 0]
-        return length, self._embed_spectrum
+        return self._embed_spectrum
 
     def apply(self, a, side: str = "left") -> np.ndarray:
         m, n = self.shape
@@ -242,13 +255,7 @@ class ToeplitzOperator:
         if side != "left":
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         arr, was_vector = _as_columns(a, n, "left-apply")
-        length, spectrum = self._embedding()
-        padded = np.zeros((length, arr.shape[1]), dtype=np.complex128)
-        padded[:n] = arr
-        spec = _fft_columns(padded, inverse=False)
-        spec *= spectrum[:, None]
-        op_counter.add(mults=length * arr.shape[1])
-        out = _fft_columns(spec, inverse=True).real[:m]
+        out = _spectral_product(self._embedding(), arr, m)
         return out[:, 0] if was_vector else out
 
 

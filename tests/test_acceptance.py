@@ -150,8 +150,8 @@ def test_criterion_07_schur_complement_algebra():
     for t in range(200):
         g = rng.standard_normal((16, 16))
         a = g.T @ g + np.eye(16)
-        fine, _ = factor.block_genp_factor(a, (1,) * 16, monitor="frobenius", record_complements=True)
-        coarse, _ = factor.block_genp_factor(a, (4, 4, 4, 4), monitor="frobenius", record_complements=True)
+        fine, _ = factor.block_genp_factor(a, (1,) * 16, record_complements=True)
+        coarse, _ = factor.block_genp_factor(a, (4, 4, 4, 4), record_complements=True)
         s_fine = fine.schur_complements[8]
         s_coarse = coarse.schur_complements[8]
         worst_schedule = max(

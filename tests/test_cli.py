@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -146,6 +147,17 @@ class TestGenerateAndSolve:
         assert code == 1
         assert "failure" in capsys.readouterr().out
 
+    def test_solve_json_reports_u_growth(self, tmp_path, capsys):
+        dense.write_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), tmp_path / "a.txt")
+        dense.write_matrix(np.ones((2, 1)), tmp_path / "b.txt")
+        code = cli.main(
+            ["solve", "--matrix", str(tmp_path / "a.txt"), "--rhs", str(tmp_path / "b.txt"),
+             "--left", "none", "--right", "none", "--json"]
+        )
+        assert code == 0
+        safety = json.loads(capsys.readouterr().out)["safety"]
+        assert safety == {"u_growth": 0.5, "min_pivot": 1.0, "max_pivot": 2.0}
+
     def test_missing_file_exits_two(self, capsys):
         code = cli.main(["solve", "--matrix", "/nonexistent.txt", "--rhs", "/nonexistent.txt"])
         assert code == 2
@@ -162,4 +174,34 @@ class TestGenerateAndSolve:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["residual_history"]) == 3
-        assert payload["safety"]["growth_factor"] >= 1.0
+        assert 0.0 < payload["safety"]["u_growth"] < math.inf
+
+
+class TestUsageErrors:
+    """Invalid arguments that argparse accepts end in exit code 2 and one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--dims", "48", "experiment"],
+            ["--trials", "0", "experiment"],
+            ["--trials", "1", "--dims", "8", "experiment"],
+            ["verify", "safety", "--n", "15"],
+            ["verify", "tails", "--samples", "10"],
+            ["solve", "--matrix", "{entry}", "--rhs", "{rhs}"],
+            ["solve", "--matrix", "{header}", "--rhs", "{rhs}"],
+        ],
+        ids=["dims-48", "trials-0", "nullity-at-n8", "safety-n15", "tails-samples-10",
+             "matrix-entry", "matrix-header"],
+    )
+    def test_exits_two(self, argv, tmp_path, capsys):
+        files = {
+            "entry": "2 2\n1.0 2.0\n3.0 x\n",
+            "header": "two 2\n1.0 2.0\n3.0 4.0\n",
+            "rhs": "2 1\n1.0\n1.0\n",
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        argv = [tok.format(**{k: str(tmp_path / f"{k}.txt") for k in files}) for tok in argv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -23,6 +23,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             experiments.ExperimentConfig(trials=0)
 
+    def test_nullity_below_half_dimension(self):
+        # hard_matrix needs 0 <= h < n/2; n = 8 leaves room for h <= 3 only.
+        with pytest.raises(ValueError):
+            experiments.ExperimentConfig(dims=(8,))
+        with pytest.raises(ValueError):
+            experiments.ExperimentConfig(dims=(16, 8), nullity=4)
+        with pytest.raises(ValueError):
+            experiments.ExperimentConfig(dims=(16,), nullity=-1)
+        assert experiments.ExperimentConfig(dims=(8,), nullity=3).nullity == 3
+
 
 class TestSeedDerivation:
     def test_instance_seed_is_method_free(self):

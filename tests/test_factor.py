@@ -384,6 +384,54 @@ class TestSafety:
         assert result.max_inverse_norm * result.input_norm >= 1.0 - 1e-10
 
 
+class TestMonitor:
+    """The spectral monitor is opt-in; without it a report holds pivots only."""
+
+    def test_default_reports_hold_pivots_only(self):
+        a = spd_like(30, 12)
+        (_, scalar), (_, block) = factor.genp_factor(a), factor.block_genp_factor(a, (4, 4, 4))
+        for report in (scalar, block):
+            assert report.monitor is None
+            assert report.input_norm is None
+            assert all(rec.complement_norm is None for rec in report.records)
+            assert report.growth_factor == 1.0
+        assert block.u_growth is None
+
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_spectral_complement_norms_match_linalg(self, n):
+        a = spd_like(31 + n, n)
+        _, report = factor.genp_factor(a, monitor="spectral")
+        assert report.input_norm == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
+        for k, rec in enumerate(report.records, start=1):
+            if k == n:
+                assert rec.complement_norm is None
+                continue
+            schur = a[k:, k:] - a[k:, :k] @ np.linalg.solve(a[:k, :k], a[:k, k:])
+            assert rec.complement_norm == pytest.approx(np.linalg.norm(schur, 2), rel=1e-10)
+        expected = max([1.0] + [r.complement_norm / report.input_norm for r in report.records[:-1]])
+        assert report.growth_factor == expected
+
+    @pytest.mark.parametrize("a, expected", [([[2.0, 1.0], [1.0, 1.0]], 1.0), ([[1.0, 2.0], [3.0, 4.0]], 0.5)])
+    def test_u_growth_hand_examples(self, a, expected):
+        fact, report = factor.genp_factor(a)
+        assert report.u_growth == expected
+        assert report.u_growth == np.abs(fact.u_factor).max() / np.abs(np.asarray(a)).max()
+
+    def test_frobenius_monitor_rejected(self):
+        a = spd_like(34, 4)
+        with pytest.raises(ValueError):
+            factor.genp_factor(a, monitor="frobenius")
+        with pytest.raises(ValueError):
+            factor.block_genp_factor(a, (2, 2), monitor="frobenius")
+
+    def test_degenerate_check_reports_exact_input_norm(self):
+        inst = hard_matrix(Seed(100).derive("i", 2), 64, 4)
+        _, report = factor.genp_factor(inst.matrix)
+        result = factor.safety_check(inst.matrix, report)
+        assert result.strongly_nonsingular is False
+        assert result.input_norm == dense.spectral_norm(inst.matrix)
+
+
 class TestInverseNormEstimate:
     def test_matches_jacobi(self):
         a = RNG(25).standard_normal((24, 24)) + 2 * np.eye(24)

@@ -48,9 +48,20 @@ class TestIdentityPlan:
         direct = factor.lu_solve(fact, b)
         assert np.array_equal(out.solution, direct)
 
+    def test_outcome_report_holds_pivots_only(self):
+        # The solve path runs no safety monitor: no input norm, no complement norms.
+        a = strongly_nonsingular(2, 16)
+        b = RNG(3).standard_normal(16)
+        for plan in (pipeline.PreconditionPlan(left=None, right=None), pipeline.PreconditionPlan()):
+            safety = pipeline.preconditioned_solve(a, b, plan, Seed(2)).safety
+            assert safety.monitor is None and safety.input_norm is None
+            assert all(rec.complement_norm is None for rec in safety.records)
+            assert safety.growth_factor == 1.0
+            assert 0.0 < safety.u_growth < math.inf
+
     def test_none_string_alias(self):
         plan = pipeline.PreconditionPlan(left="none", right="none")
-        assert plan.side_kind("left") is None and plan.side_kind("right") is None
+        assert plan.left is None and plan.right is None
 
 
 class TestPreconditionedSolve:
