@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Print a sha256 of every benchmark part's output, one line per part.
+
+Runs every part of the three `perfbench` workloads (tables-n64, tables-n256,
+verify-desk) for ``--rounds`` rounds on the benchmark's round seeds and
+prints ``<workload> <round> <part> <sha256>`` of ``workloads.fingerprint``.
+Run it on two checkouts and diff the outputs to check that a change keeps
+every table and suite byte-identical:
+
+    python scripts/fingerprints.py --seed 20120 --rounds 3 > after.txt
+
+The package and ``perfbench/workloads.py`` are imported from this script's
+own checkout, and BLAS is pinned to one thread as in the benchmark.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--seed", type=int, default=20120, help="benchmark seed (default %(default)s)")
+    parser.add_argument("--rounds", type=int, default=3, help="rounds per workload (default %(default)s)")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    for name, workload in workloads.WORKLOADS.items():
+        for r in range(args.rounds):
+            master = workloads.round_seed(args.seed, r)
+            for label in workload.parts:
+                text = workloads.fingerprint(workload.run_part(label, master))
+                digest = hashlib.sha256(text.encode()).hexdigest()
+                print(f"{name} {r} {label} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

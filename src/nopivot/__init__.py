@@ -23,6 +23,7 @@ from .dense import (
 from .errors import (
     ConvergenceError,
     GenerationError,
+    NonFiniteSolutionError,
     NopivotError,
     ShapeError,
     SingularMatrixError,

@@ -192,10 +192,10 @@ def _power_spectral_norm(a: np.ndarray, iters: int = _POWER_ITERS, tol: float = 
     v = rng.standard_normal(a.shape[1])
     v /= math.sqrt(v @ v)
     w = a @ v
+    # sqrt(x @ x) is the dot and sqrt np.linalg.norm runs on a real vector.
+    s = math.sqrt(w @ w)
     estimate = 0.0
     for _ in range(iters):
-        # sqrt(x @ x) is the dot and sqrt np.linalg.norm runs on a real vector.
-        s = math.sqrt(w @ w)
         if s == 0.0:
             return 0.0
         v = a.T @ w
@@ -203,12 +203,12 @@ def _power_spectral_norm(a: np.ndarray, iters: int = _POWER_ITERS, tol: float = 
         if nv == 0.0:
             return s
         v /= nv
-        # The product that checks convergence is the next iteration's w.
+        # The product and norm that check convergence are the next iteration's w and s.
         w = a @ v
         new_estimate = math.sqrt(w @ w)
         if estimate > 0.0 and abs(new_estimate - estimate) <= tol * new_estimate:
             return max(new_estimate, estimate)
-        estimate = new_estimate
+        estimate = s = new_estimate
     return estimate
 
 

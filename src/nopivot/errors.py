@@ -53,5 +53,9 @@ class ConvergenceError(NopivotError):
         self.residual = residual
 
 
+class NonFiniteSolutionError(NopivotError):
+    """A computed solution has an infinite or NaN entry (e.g. overflow in GENP)."""
+
+
 class GenerationError(NopivotError):
     """A random construction exhausted its retry budget."""

@@ -12,7 +12,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import factor, instances, pipeline
+from . import instances, pipeline
 from .errors import NopivotError
 from .randgen import Seed
 from .reports import StatsRow, TableReport, aggregate_stats
@@ -81,12 +81,7 @@ def _run_trial(args) -> tuple[int, list[float] | None]:
     except NopivotError:
         return trial, None
     if method == "gepp":
-        try:
-            fact = factor.gepp_factor(inst.matrix)
-            x = factor.lu_solve(fact, inst.rhs)
-        except NopivotError:
-            return trial, None
-        return trial, [pipeline.relative_residual(inst.matrix, x, inst.rhs)]
+        return trial, [pipeline.relative_residual(inst.matrix, inst.gepp_solution, inst.rhs)]
     if method == "genp":
         plan = pipeline.PreconditionPlan(left=None, right=None)
     outcome = pipeline.preconditioned_solve(inst.matrix, inst.rhs, plan, multiplier_seed(master, n, trial))

@@ -22,8 +22,8 @@ DEFAULT_NULLITY = 4
 _FULL_MATRIX_RATIO = 1e-12
 _MAX_ATTEMPTS = 5
 _ORTHO_RESIDUAL_TOL = 1e-10
-# Bytes of matrix plus right-hand side the instance cache keeps; enough for
-# 100 trials at n = 64 and n = 256 (about 56 MB).
+# Bytes of matrix, right-hand side and GEPP solution the instance cache
+# keeps; enough for 100 trials at n = 64 and n = 256 (about 56 MB).
 CACHE_BYTES = 64 * 2**20
 
 
@@ -38,6 +38,7 @@ class HardInstance:
     seed: randgen.Seed
     block_norms: dict = field(default_factory=dict)
     attempt: int = 1
+    gepp_solution: np.ndarray | None = None  # the screen's GEPP solve; None if read from a file
 
 
 class _InstanceCache:
@@ -63,7 +64,7 @@ class _InstanceCache:
         return self.entries.get(key)
 
     def put(self, key, inst: HardInstance) -> None:
-        size = inst.matrix.nbytes + inst.rhs.nbytes
+        size = inst.matrix.nbytes + inst.rhs.nbytes + inst.gepp_solution.nbytes
         if self.nbytes + size <= CACHE_BYTES:
             self.entries[key] = inst
             self.nbytes += size
@@ -85,8 +86,8 @@ def hard_matrix(seed: randgen.Seed, n: int, h: int = DEFAULT_NULLITY) -> HardIns
 
     The function is pure, so while ``seed.master`` stays the same an instance
     is built once per ``(seed, n, h)`` and later calls return that same
-    object, as long as it fits in ``CACHE_BYTES``.  Its ``matrix`` and
-    ``rhs`` are read-only; copy them to modify.
+    object, as long as it fits in ``CACHE_BYTES``.  Its ``matrix``, ``rhs``
+    and ``gepp_solution`` are read-only; copy them to modify.
     """
     if not is_power_of_two(n) or n < 8:
         raise ShapeError(f"n must be a power of two >= 8, got {n}")
@@ -121,13 +122,15 @@ def hard_matrix(seed: randgen.Seed, n: int, h: int = DEFAULT_NULLITY) -> HardIns
         # Assembly does not guarantee the full matrix stays nonsingular.
         smax = dense.spectral_norm_estimate(a)
         try:
-            inv_norm = factor.inverse_norm_estimate(a)
+            fact = factor.gepp_factor(a)
+            inv_norm = factor.inverse_norm_estimate(a, fact)
         except factor.SingularMatrixError:
             continue
         if 1.0 / (inv_norm * smax) <= _FULL_MATRIX_RATIO:
             continue
-        a.flags.writeable = False
-        rhs.flags.writeable = False
+        solution = factor.lu_solve(fact, rhs)
+        for array in (a, rhs, solution):
+            array.flags.writeable = False
         inst = HardInstance(
             matrix=a,
             rhs=rhs,
@@ -136,6 +139,7 @@ def hard_matrix(seed: randgen.Seed, n: int, h: int = DEFAULT_NULLITY) -> HardIns
             seed=attempt_seed,
             block_norms={"raw": raw_norms, "inverse_norm": inv_norm, "norm": smax},
             attempt=attempt,
+            gepp_solution=solution,
         )
         _CACHE.put(key, inst)
         return inst

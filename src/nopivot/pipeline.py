@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dense, factor, randgen
-from .errors import NopivotError, ShapeError, ZeroPivotError
+from .errors import NonFiniteSolutionError, NopivotError, ShapeError, ZeroPivotError
 
 MULTIPLIER_KINDS = ("gaussian", "circulant", "toeplitz", "hankel", "finite-set")
 DEFAULT_FINITE_SET = randgen.FiniteSet(tuple(range(-8, 9)))
@@ -69,8 +69,10 @@ class SolveOutcome:
     """Solution plus residual history and the elimination safety report.
 
     ``relative_residual`` is recomputed from the original system; the history
-    has one entry per refinement level (index 0 = no refinement).  On failure
-    the solution is None and the residual infinite.
+    has one entry per refinement level (index 0 = no refinement).  When the
+    elimination fails or its solution is not finite, the solution is None and
+    the residual infinite; when a refinement step fails, the last finite
+    iterate and its history are kept.
     """
 
     solution: np.ndarray | None
@@ -87,13 +89,20 @@ def compensated_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndar
     return b - sums
 
 
+def _measure(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """(b - A x, ||b - A x|| / ||b||) for validated ``a`` and ``b``."""
+    if not np.isfinite(x).all():
+        raise NonFiniteSolutionError("solution contains non-finite entries")
+    r = compensated_residual(a, x, b)
+    return r, float(np.linalg.norm(r) / np.linalg.norm(b))
+
+
 def relative_residual(a, x, b) -> float:
     """||A x - b|| / ||b|| against the original system."""
     a = dense.require_matrix(a)
     x = dense.require_vector(x, "solution")
     b = dense.require_vector(b, "right-hand side")
-    r = compensated_residual(a, x, b)
-    return float(np.linalg.norm(r) / np.linalg.norm(b))
+    return _measure(a, x, b)[1]
 
 
 def build_multiplier(kind: str | None, n: int, seed: randgen.Seed, finite_set=DEFAULT_FINITE_SET):
@@ -125,9 +134,8 @@ def apply_multiplier(mult, a, side: str):
     return mult.apply(a, side)
 
 
-def refine_once(a, fact, left_mult, right_mult, x, b) -> np.ndarray:
-    """One refinement step: x + H solve(F (b - A x)) with the stored factors."""
-    r = compensated_residual(a, x, b)
+def refine_once(fact, left_mult, right_mult, x, r) -> np.ndarray:
+    """One refinement step: x + H solve(F r) with the stored factors, r = b - A x."""
     rhs = apply_multiplier(left_mult, r, "left")
     correction = factor.lu_solve(fact, rhs)
     correction = apply_multiplier(right_mult, correction, "left")
@@ -159,7 +167,9 @@ def preconditioned_solve(a, b, plan: PreconditionPlan, seed: randgen.Seed) -> So
     try:
         fact, safety = factor.genp_factor(preconditioned, plan.zero_pivot_threshold)
         y = factor.lu_solve(fact, rhs)
-    except (ZeroPivotError, factor.SingularMatrixError) as exc:
+        x = apply_multiplier(right, y, "left")
+        r, residual = _measure(a, x, b)
+    except (ZeroPivotError, factor.SingularMatrixError, NonFiniteSolutionError) as exc:
         return SolveOutcome(
             solution=None,
             relative_residual=math.inf,
@@ -168,11 +178,11 @@ def preconditioned_solve(a, b, plan: PreconditionPlan, seed: randgen.Seed) -> So
             failure=_failure(exc, plan, seed),
         )
 
-    x = apply_multiplier(right, y, "left")
-    history = [relative_residual(a, x, b)]
+    history = [residual]
     for _ in range(plan.refinement_steps):
         try:
-            x = refine_once(a, fact, left, right, x, b)
+            refined = refine_once(fact, left, right, x, r)
+            r, residual = _measure(a, refined, b)
         except NopivotError as exc:
             return SolveOutcome(
                 solution=x,
@@ -181,7 +191,8 @@ def preconditioned_solve(a, b, plan: PreconditionPlan, seed: randgen.Seed) -> So
                 safety=safety,
                 failure=_failure(exc, plan, seed),
             )
-        history.append(relative_residual(a, x, b))
+        x = refined
+        history.append(residual)
     return SolveOutcome(
         solution=x,
         relative_residual=history[-1],

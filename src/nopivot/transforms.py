@@ -91,7 +91,8 @@ def _fft_columns(x: np.ndarray, inverse: bool) -> np.ndarray:
     length, ncols = x.shape
     if not is_power_of_two(length):
         raise ShapeError(f"FFT length must be a power of two, got {length}")
-    out = x[_bit_reversal(length)].astype(np.complex128, copy=True)
+    # The gather already copies, so the cast need not copy again.
+    out = x[_bit_reversal(length)].astype(np.complex128, copy=False)
     if length == 1:
         return out
     table = _twiddles(length, +1 if inverse else -1)
@@ -103,8 +104,9 @@ def _fft_columns(x: np.ndarray, inverse: bool) -> np.ndarray:
         low = view[:, :half, :]
         high = view[:, half:, :] * tw[None, :, None]
         op_counter.add(mults=(length // 2) * ncols, adds=length * ncols)
-        view[:, half:, :] = low - high
-        view[:, :half, :] = low + high
+        # In place: `high` is the stage's only temporary.
+        np.subtract(low, high, out=view[:, half:, :])
+        low += high
         size *= 2
     if inverse:
         out *= 1.0 / length

@@ -147,6 +147,22 @@ class TestGenerateAndSolve:
         assert code == 1
         assert "failure" in capsys.readouterr().out
 
+    def test_solve_overflow_exits_one(self, tmp_path, capsys):
+        # Plain GENP on this system overflows; that is a failed solve, not a usage error.
+        dense.write_matrix(np.array([[1e-300, 1.0], [1.0, 1.0]]), tmp_path / "a.txt")
+        dense.write_matrix(np.array([[1e10], [1.0]]), tmp_path / "b.txt")
+        argv = ["solve", "--matrix", str(tmp_path / "a.txt"), "--rhs", str(tmp_path / "b.txt"),
+                "--left", "none", "--right", "none"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(argv) == 1
+            assert "failure: NonFiniteSolutionError" in capsys.readouterr().out
+            assert cli.main(argv + ["--json", "--emit-solution"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failure"]["kind"] == "NonFiniteSolutionError"
+        assert math.isinf(payload["relative_residual"])
+        assert payload["residual_history"] == []
+        assert "solution" not in payload
+
     def test_solve_json_reports_u_growth(self, tmp_path, capsys):
         dense.write_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), tmp_path / "a.txt")
         dense.write_matrix(np.ones((2, 1)), tmp_path / "b.txt")

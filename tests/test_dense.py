@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -42,6 +44,50 @@ class TestSpectralNorm:
     def test_estimate_matches(self):
         a = RNG(5).standard_normal((40, 40))
         assert dense.spectral_norm_estimate(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-6)
+
+
+def reference_power_spectral_norm(a, iters=200, tol=1e-10):
+    """The power iteration as it was before its norm was carried across iterations."""
+    rng = np.random.Generator(np.random.PCG64(0x5EED_0B5E))
+    v = rng.standard_normal(a.shape[1])
+    v /= math.sqrt(v @ v)
+    w = a @ v
+    estimate = 0.0
+    for _ in range(iters):
+        s = math.sqrt(w @ w)
+        if s == 0.0:
+            return 0.0
+        v = a.T @ w
+        nv = math.sqrt(v @ v)
+        if nv == 0.0:
+            return s
+        v /= nv
+        w = a @ v
+        new_estimate = math.sqrt(w @ w)
+        if estimate > 0.0 and abs(new_estimate - estimate) <= tol * new_estimate:
+            return max(new_estimate, estimate)
+        estimate = new_estimate
+    return estimate
+
+
+class TestPowerIterationBits:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            RNG(30).standard_normal((32, 32)),
+            RNG(31).standard_normal((64, 64)),
+            RNG(32).standard_normal((40, 9)),
+            RNG(33).standard_normal((9, 40)),
+            np.zeros((6, 6)),
+            np.array([[-2.5]]),
+            np.outer(RNG(34).standard_normal(12), RNG(35).standard_normal(7)),
+        ],
+        ids=["square-32", "square-64", "tall", "wide", "zero", "1x1", "rank-1"],
+    )
+    def test_equals_reference_loop(self, a):
+        assert dense._power_spectral_norm(a) == reference_power_spectral_norm(a)
+        # A small budget ends on the iteration cap rather than on convergence.
+        assert dense._power_spectral_norm(a, iters=3) == reference_power_spectral_norm(a, iters=3)
 
 
 class TestJacobiSvd:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nopivot import experiments, instances, pipeline
+from nopivot import experiments, factor, instances, pipeline
 
 
 class TestConfigValidation:
@@ -101,6 +101,24 @@ class TestRunExperiment:
             instances._CACHE.clear()
             cold.append(experiments.run_residual_experiment(config).to_dict())
         warm = [experiments.run_residual_experiment(config).to_dict() for config in configs]
+        assert warm == cold
+
+    def test_gepp_reads_stored_solution(self, monkeypatch):
+        # The GEPP table solves nothing itself: the instance screen's
+        # factorization already gave the solution, warm cache or cold.
+        config = experiments.ExperimentConfig(dims=(16, 32), trials=4, method="gepp", master_seed=29)
+        instances._CACHE.clear()
+        cold = experiments.run_residual_experiment(config).to_dict()
+        calls = []
+        original = factor.gepp_factor
+
+        def counted(a):
+            calls.append(1)
+            return original(a)
+
+        monkeypatch.setattr(factor, "gepp_factor", counted)
+        warm = experiments.run_residual_experiment(config).to_dict()
+        assert calls == []
         assert warm == cold
 
     def test_config_echo(self):

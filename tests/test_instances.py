@@ -77,8 +77,32 @@ class TestCache:
         assert np.array_equal(rebuilt.matrix, old[0].matrix)
         assert np.array_equal(rebuilt.rhs, old[0].rhs)
 
+    def test_one_gepp_factor_per_accepted_attempt(self, monkeypatch):
+        calls = []
+        original = factor.gepp_factor
+
+        def counted(a):
+            calls.append(1)
+            return original(a)
+
+        monkeypatch.setattr(factor, "gepp_factor", counted)
+        for t in range(3):
+            inst = instances.hard_matrix(Seed(24).derive(t), 16, 4)
+            assert inst.attempt == 1
+            assert len(calls) == t + 1
+            assert instances.hard_matrix(Seed(24).derive(t), 16, 4) is inst
+            assert len(calls) == t + 1
+
+    def test_gepp_solution_stored_read_only(self):
+        inst = instances.hard_matrix(Seed(25), 16, 4)
+        x = factor.lu_solve(factor.gepp_factor(inst.matrix), inst.rhs)
+        assert inst.gepp_solution.tobytes() == x.tobytes()
+        assert not inst.gepp_solution.flags.writeable
+        with pytest.raises(ValueError):
+            inst.gepp_solution[0] = 1.0
+
     def test_instance_over_budget_returned_not_kept(self, monkeypatch):
-        size = 16 * 16 * 8 + 16 * 8
+        size = 16 * 16 * 8 + 16 * 8 + 16 * 8
         monkeypatch.setattr(instances, "CACHE_BYTES", size + size // 2)
         kept = instances.hard_matrix(Seed(23).derive(0), 16, 4)
         over = instances.hard_matrix(Seed(23).derive(1), 16, 4)

@@ -112,6 +112,50 @@ class TestPreconditionedSolve:
         assert out.solution is None
         assert math.isinf(out.relative_residual)
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_overflowing_solution_reported_not_raised(self, steps):
+        # GENP's 1e300 multiplier overflows the forward substitution to -inf.
+        a = np.array([[1e-300, 1.0], [1.0, 1.0]])
+        b = np.array([1e10, 1.0])
+        plan = pipeline.PreconditionPlan(left=None, right=None, refinement_steps=steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = pipeline.preconditioned_solve(a, b, plan, Seed(10))
+        assert out.failure is not None
+        assert out.failure.kind == "NonFiniteSolutionError"
+        assert out.failure.seed == Seed(10)
+        assert out.solution is None
+        assert math.isinf(out.relative_residual)
+        assert out.residual_history == []
+
+    def test_non_finite_refinement_keeps_last_finite_iterate(self, monkeypatch):
+        a = strongly_nonsingular(5, 8)
+        b = RNG(19).standard_normal(8)
+        plan = pipeline.PreconditionPlan(left=None, right=None, refinement_steps=2)
+        first = pipeline.preconditioned_solve(a, b, pipeline.PreconditionPlan(left=None, right=None), Seed(11))
+        monkeypatch.setattr(pipeline, "refine_once", lambda fact, left, right, x, r: np.full_like(x, np.nan))
+        out = pipeline.preconditioned_solve(a, b, plan, Seed(11))
+        assert out.failure.kind == "NonFiniteSolutionError"
+        assert np.array_equal(out.solution, first.solution)
+        assert out.residual_history == first.residual_history
+        assert out.relative_residual == first.relative_residual
+        assert out.safety is not None
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_one_residual_per_refinement_level(self, monkeypatch, steps):
+        calls = []
+        original = pipeline.compensated_residual
+
+        def counted(a, x, b):
+            calls.append(1)
+            return original(a, x, b)
+
+        monkeypatch.setattr(pipeline, "compensated_residual", counted)
+        inst = hard_matrix(Seed(8), 16, 4)
+        plan = pipeline.PreconditionPlan(refinement_steps=steps)
+        out = pipeline.preconditioned_solve(inst.matrix, inst.rhs, plan, Seed(9))
+        assert out.failure is None
+        assert len(calls) == steps + 1 == len(out.residual_history)
+
     @pytest.mark.parametrize("kind", ["toeplitz", "hankel", "finite-set"])
     def test_other_multiplier_kinds(self, kind):
         inst = hard_matrix(Seed(11).derive(kind), 16, 4)
@@ -162,7 +206,7 @@ class TestRefineOnce:
         b = a @ x
         fact, _ = factor.genp_factor(a)
         x_exact = factor.lu_solve(fact, b)
-        refined = pipeline.refine_once(a, fact, None, None, x_exact, b)
+        refined = pipeline.refine_once(fact, None, None, x_exact, pipeline.compensated_residual(a, x_exact, b))
         assert np.linalg.norm(refined - x_exact) <= 1e-12 * np.linalg.norm(x_exact)
 
     def test_refinement_improves_perturbed_solution(self):
@@ -171,7 +215,7 @@ class TestRefineOnce:
         b = a @ x
         fact, _ = factor.genp_factor(a)
         x_bad = factor.lu_solve(fact, b) * (1 + 1e-6)
-        refined = pipeline.refine_once(a, fact, None, None, x_bad, b)
+        refined = pipeline.refine_once(fact, None, None, x_bad, pipeline.compensated_residual(a, x_bad, b))
         assert pipeline.relative_residual(a, refined, b) < pipeline.relative_residual(a, x_bad, b)
 
 

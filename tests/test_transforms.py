@@ -19,6 +19,50 @@ def direct_dft(v, inverse=False):
     return out / n if inverse else out
 
 
+def reference_fft_columns(x, inverse):
+    """The radix-2 loop as it was before its butterflies ran in place."""
+    length, ncols = x.shape
+    out = x[transforms._bit_reversal(length)].astype(np.complex128, copy=True)
+    if length == 1:
+        return out
+    table = transforms._twiddles(length, +1 if inverse else -1)
+    size = 2
+    while size <= length:
+        half = size // 2
+        tw = table[:: length // size][:half]
+        view = out.reshape(length // size, size, ncols)
+        low = view[:, :half, :]
+        high = view[:, half:, :] * tw[None, :, None]
+        transforms.op_counter.add(mults=(length // 2) * ncols, adds=length * ncols)
+        view[:, half:, :] = low - high
+        view[:, :half, :] = low + high
+        size *= 2
+    if inverse:
+        out *= 1.0 / length
+        transforms.op_counter.add(mults=length * ncols)
+    return out
+
+
+class TestFftBits:
+    @pytest.mark.parametrize("length", [2**p for p in range(10)])
+    @pytest.mark.parametrize("ncols", [1, 7])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_equals_reference_loop(self, length, ncols, inverse):
+        rng = RNG(length * 10 + ncols)
+        x = rng.standard_normal((length, ncols)) + 1j * rng.standard_normal((length, ncols))
+        before = x.copy()
+        transforms.op_counter.reset()
+        want = reference_fft_columns(x, inverse)
+        want_counts = (transforms.op_counter.mults, transforms.op_counter.adds)
+        transforms.op_counter.reset()
+        got = transforms._fft_columns(x, inverse)
+        assert (transforms.op_counter.mults, transforms.op_counter.adds) == want_counts
+        transforms.op_counter.reset()
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(got, x)
+
+
 class TestFft:
     def test_impulse(self):
         assert np.allclose(transforms.fft(np.array([1, 0, 0, 0], dtype=complex)), np.ones(4))
