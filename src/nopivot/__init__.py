@@ -9,12 +9,8 @@ preconditioned solve pipeline, and the experiment / verification harness.
 from .dense import (
     QrResult,
     SvdResult,
-    condition_number,
     householder_qr,
-    inverse_norm,
     jacobi_svd,
-    leading_block,
-    numerical_rank,
     read_matrix,
     singular_values,
     spectral_norm,
@@ -37,11 +33,13 @@ from .factor import (
     BlockSchedule,
     GenpFactorization,
     GeppFactorization,
+    SafetyBounds,
     SafetyReport,
     block_genp_factor,
     genp_factor,
     gepp_factor,
     lu_solve,
+    safety_bounds,
     safety_check,
     schur_complement,
 )
@@ -62,7 +60,7 @@ from .randgen import (
     gaussian_toeplitz,
     random_orthonormal,
 )
-from .reports import StatsRow, TableReport, emit_report
+from .reports import StatsRow, TableReport
 from .transforms import (
     CirculantOperator,
     HankelOperator,

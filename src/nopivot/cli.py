@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import dense, experiments, instances, pipeline, verify
 from .errors import NopivotError
 from .randgen import FiniteSet, Seed, parse_seed
-from .reports import emit_report, render_report
+from .reports import render_report
 
 _MULTIPLIER_CHOICES = ("none",) + pipeline.MULTIPLIER_KINDS
 
@@ -66,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write hard instances in the text format")
     gen.add_argument("--n", type=int, default=64)
-    gen.add_argument("--h", type=int, default=4, help="nullity of the leading half block")
+    gen.add_argument("--h", type=int, default=instances.DEFAULT_NULLITY,
+                     help="nullity of the leading half block")
     gen.add_argument("--count", type=int, default=1)
 
     sol = sub.add_parser("solve", help="solve one system from matrix/rhs files")
@@ -80,8 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(args):
-    return open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+def _write(args, text: str) -> None:
+    """Write a command's output to ``--out`` when given, else to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _finite_or_none(value: float) -> float | None:
+    """JSON (RFC 8259) has no Infinity or NaN; write null instead."""
+    return value if math.isfinite(value) else None
 
 
 def _cmd_experiment(args) -> int:
@@ -96,10 +108,7 @@ def _cmd_experiment(args) -> int:
         master_seed=args.seed,
     )
     report = experiments.run_residual_experiment(config, workers=args.workers)
-    if args.out:
-        emit_report(report, args.format, args.out)
-    else:
-        sys.stdout.write(render_report(report, args.format))
+    _write(args, render_report(report, args.format))
     return 0
 
 
@@ -117,18 +126,11 @@ def _cmd_verify(args) -> int:
         report = verify.check_safety_bounds(seed, trials=args.trials, n=args.n)
     else:
         report = verify.check_perturbation(seed, trials=args.trials, max_size=args.sizes)
-    out = _open_out(args)
-    try:
-        if args.format == "json":
-            json.dump(report.to_dict(), out, indent=2)
-            out.write("\n")
-        else:
-            out.write(f"# {report.title} (seed {args.seed})\n")
-            for line in report.lines():
-                out.write(line + "\n")
-    finally:
-        if args.out:
-            out.close()
+    if args.format == "json":
+        text = json.dumps(report.to_dict(), indent=2) + "\n"
+    else:
+        text = "\n".join([f"# {report.title} (seed {args.seed})", *report.lines()]) + "\n"
+    _write(args, text)
     return 0 if report.passed else 1
 
 
@@ -155,22 +157,22 @@ def _cmd_solve(args) -> int:
             "n": int(a.shape[0]),
             "seed": args.seed,
             "plan": {"left": plan.left, "right": plan.right, "refinement_steps": plan.refinement_steps},
-            "relative_residual": outcome.relative_residual,
-            "residual_history": outcome.residual_history,
+            "relative_residual": _finite_or_none(outcome.relative_residual),
+            "residual_history": [_finite_or_none(r) for r in outcome.residual_history],
             "failure": None
             if outcome.failure is None
             else {"kind": outcome.failure.kind, "step": outcome.failure.step, "message": outcome.failure.message},
             "safety": None
             if outcome.safety is None
             else {
-                "u_growth": outcome.safety.u_growth,
-                "min_pivot": float(np.min(outcome.safety.pivot_magnitudes)),
-                "max_pivot": float(np.max(outcome.safety.pivot_magnitudes)),
+                "u_growth": _finite_or_none(outcome.safety.u_growth),
+                "min_pivot": _finite_or_none(float(np.min(outcome.safety.pivot_magnitudes))),
+                "max_pivot": _finite_or_none(float(np.max(outcome.safety.pivot_magnitudes))),
             },
         }
         if args.emit_solution and outcome.solution is not None:
             payload["solution"] = [float(v) for v in outcome.solution]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         lines = [f"relative residual: {outcome.relative_residual:.6e}"]
         lines.append("history: " + " ".join(f"{r:.6e}" for r in outcome.residual_history))
@@ -179,11 +181,7 @@ def _cmd_solve(args) -> int:
         if args.emit_solution and outcome.solution is not None:
             lines.append("solution: " + " ".join(f"{v:.17e}" for v in outcome.solution))
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
     return 0 if outcome.failure is None else 1
 
 

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: products, norms, QR, small-scale SVD, block extraction.
+"""Dense matrix kernels: validation, norms, QR, small-scale SVD, text format.
 
 Matrices are plain 2-D float64 numpy arrays throughout the package.  The SVD
 is a one-sided Jacobi iteration, accurate for small singular values at desk
@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ShapeError, SingularMatrixError, SizeError
+from .errors import ConvergenceError, ShapeError, SizeError
 
 # Ratio sigma_j / sigma_1 at or below which a singular value counts as zero.
 RANK_TOL = 1e-10
-# sigma_min / sigma_max at or below which a square matrix counts as singular.
-SINGULARITY_RATIO = 1e-13
 
 JACOBI_MAX_DIM = 128  # largest min-dimension routed through Jacobi by default
 _JACOBI_TOL = 1e-14
@@ -77,14 +75,6 @@ class QrResult:
 
     q_factor: np.ndarray
     r_factor: np.ndarray
-
-
-def leading_block(a, k: int, l: int) -> np.ndarray:
-    """Northwestern k-by-l block of ``a``."""
-    a = require_matrix(a)
-    if not (1 <= k <= a.shape[0]) or not (1 <= l <= a.shape[1]):
-        raise ShapeError(f"block ({k}, {l}) out of range for shape {a.shape}")
-    return a[:k, :l].copy()
 
 
 def _orthonormal_completion(u_partial: np.ndarray, m: int) -> np.ndarray:
@@ -228,43 +218,6 @@ def spectral_norm_estimate(a) -> float:
     ``spectral_norm`` would dominate the runtime.
     """
     return _power_spectral_norm(require_matrix(a))
-
-
-def inverse_norm(a) -> float:
-    """Spectral norm of the inverse, i.e. 1 / sigma_min, for square input.
-
-    Raises SingularMatrixError when sigma_min <= SINGULARITY_RATIO * sigma_max.
-    Intended for desk-scale matrices (Jacobi underneath); large systems should
-    use the factorization-based estimate in :mod:`nopivot.factor`.
-    """
-    a = require_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"inverse_norm needs a square matrix, got {a.shape}")
-    sigma = singular_values(a)
-    smin, smax = float(sigma[-1]), float(sigma[0])
-    if smin <= SINGULARITY_RATIO * smax:
-        raise SingularMatrixError(
-            f"matrix is numerically singular (sigma_min={smin:.3e}, sigma_max={smax:.3e})",
-            sigma_min=smin,
-            sigma_max=smax,
-        )
-    return 1.0 / smin
-
-
-def numerical_rank(a, tol: float = RANK_TOL) -> int:
-    """Number of singular values above ``tol`` relative to the largest."""
-    sigma = singular_values(a)
-    if sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > tol * sigma[0]))
-
-
-def condition_number(a) -> float:
-    """sigma_max / sigma_min over the nonzero spectrum (inf when singular)."""
-    sigma = singular_values(a)
-    if sigma[-1] == 0.0:
-        return np.inf
-    return float(sigma[0] / sigma[-1])
 
 
 def _householder(a: np.ndarray, full_q: bool):

@@ -19,7 +19,7 @@ from .reports import StatsRow, TableReport, aggregate_stats
 from .transforms import is_power_of_two
 
 DEFAULT_MASTER_SEED = 20120
-DEFAULT_NULLITY = 4
+DEFAULT_NULLITY = instances.DEFAULT_NULLITY
 
 METHODS = ("gepp", "genp", "genp+plan")
 

@@ -15,13 +15,14 @@ L^T in ``gepp_solve_transpose`` -- goes through one row substitution,
 
 Every elimination produces a :class:`SafetyReport` of pivot statistics, and
 ``genp_factor`` adds the final-factor growth max|U| / max|A|.  The monitor is
-opt-in and exact: ``monitor="spectral"`` records ``||A||_2`` and the spectral
-norm of every trailing Schur complement (an SVD per step); the default
-``monitor=None`` records pivots only.  ``safety_check`` verifies the recorded
-norms against the bounds ``N_+ = N + N_- N^2`` (pivot norms) and ``N_-``
-(inverses), where ``N = ||A||`` and ``N_-`` is the largest inverse norm over
-leading blocks, and compares the observed growth factor to
-``(N_+ N_-)^(log2 n)``.
+opt-in and exact: ``monitor="spectral"`` records the spectral norm of every
+trailing Schur complement (an SVD per step); the default ``monitor=None``
+records pivots only.  The bounds themselves belong to the input, not to a
+run: ``safety_bounds(a)`` computes ``N = ||A||_2`` and ``N_-``, the largest
+inverse norm over leading blocks, once per input, and ``safety_check`` checks
+one report against them -- recorded pivot norms against ``N_+ = N + N_- N^2``,
+inverse norms against ``N_-``, and the growth factor max ||complement|| / N
+against ``(N_+ N_-)^(log2 n)``.
 """
 
 from __future__ import annotations
@@ -95,27 +96,17 @@ class SafetyReport:
     """Norm bookkeeping of one elimination run.
 
     Pivot norms are always recorded, spectral (for scalar pivots they are
-    exact magnitudes).  With ``monitor="spectral"`` the run also records
-    ``input_norm = ||A||_2`` and the exact spectral norm of every trailing
-    Schur complement, at an SVD per step; with ``monitor=None`` both stay
-    None and ``growth_factor`` is 1.0.  ``u_growth`` is max|U| / max|A| of
-    the final GENP factor, O(n^2) and always filled by ``genp_factor`` (None
-    for block elimination); unlike ``growth_factor`` it can be below 1.
+    exact magnitudes).  With ``monitor="spectral"`` the run also records the
+    exact spectral norm of every trailing Schur complement, at an SVD per
+    step; with ``monitor=None`` those stay None.  ``u_growth`` is
+    max|U| / max|A| of the final GENP factor, O(n^2) and always filled by
+    ``genp_factor`` (None for block elimination); it can be below 1.
     """
 
     n: int
     monitor: str | None
-    input_norm: float | None = None
     u_growth: float | None = None
     records: list[PivotRecord] = field(default_factory=list)
-
-    @property
-    def growth_factor(self) -> float:
-        worst = 1.0
-        for rec in self.records:
-            if rec.complement_norm is not None and self.input_norm > 0:
-                worst = max(worst, rec.complement_norm / self.input_norm)
-        return worst
 
     @property
     def pivot_magnitudes(self) -> np.ndarray:
@@ -194,8 +185,7 @@ def _require_square(a, name: str = "matrix") -> np.ndarray:
 def _start_report(a: np.ndarray, monitor: str | None) -> SafetyReport:
     if monitor not in (None, "spectral"):
         raise ValueError(f"monitor must be None or 'spectral', got {monitor!r}")
-    norm = dense.spectral_norm(a) if monitor else None
-    return SafetyReport(n=a.shape[0], monitor=monitor, input_norm=norm)
+    return SafetyReport(n=a.shape[0], monitor=monitor)
 
 
 def _sigma_extremes(a: np.ndarray) -> tuple[float, float]:
@@ -343,33 +333,6 @@ def gepp_solve_transpose(fact: GeppFactorization, b) -> np.ndarray:
     return x
 
 
-def _perm_parity(perm: np.ndarray) -> int:
-    seen = np.zeros(len(perm), dtype=bool)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def determinant(a) -> float:
-    """Determinant via partial-pivoting elimination."""
-    a = _require_square(a)
-    try:
-        fact = gepp_factor(a)
-    except SingularMatrixError:
-        return 0.0
-    return _perm_parity(fact.permutation) * float(np.prod(np.diag(fact.u_factor)))
-
-
 def inverse_norm_estimate(a, fact: GeppFactorization | None = None) -> float:
     """||A^{-1}|| by power iteration on A^{-1} A^{-T} using GEPP solves.
 
@@ -507,35 +470,72 @@ def _leading_block_sizes(n: int) -> list[int]:
     return sizes
 
 
-def safety_check(a, report: SafetyReport) -> SafetyCheckResult:
-    """Verify recorded pivot statistics against the theoretical bounds.
+@dataclass(frozen=True)
+class SafetyBounds:
+    """Per-input quantities of the safety bounds, from ``safety_bounds``.
 
-    Scans leading blocks (ascending, stopping at the first numerically
-    singular one) to establish strong nonsingularity and N_-; then checks
-    every recorded pivot norm <= N_+ (1 + slack), every recorded inverse
-    norm <= N_- (1 + slack), and the growth factor.
+    ``max_inverse_norm`` is N_-, or None when the leading-block scan stopped
+    at the numerically singular block ``singular_block``.
+    """
+
+    n: int
+    input_norm: float
+    max_inverse_norm: float | None
+    singular_block: int | None
+
+    @property
+    def strongly_nonsingular(self) -> bool:
+        return self.singular_block is None
+
+
+def safety_bounds(a) -> SafetyBounds:
+    """||A||_2 and N_- of one input, for any number of ``safety_check`` calls.
+
+    Scans leading blocks in ascending order and stops at the first
+    numerically singular one, which means the input is not strongly
+    nonsingular and the bounds do not apply.
     """
     a = _require_square(a)
     n = a.shape[0]
     norm = dense.spectral_norm(a)
-    gepp_bound = float(2.0 ** (n - 1))
     n_minus = 0.0
     for j in _leading_block_sizes(n):
         smin, smax = _sigma_extremes(a[:j, :j])
         if smin <= _PIVOT_BLOCK_RATIO * smax:
-            return SafetyCheckResult(
-                strongly_nonsingular=False,
-                verdict=None,
-                input_norm=norm,
-                max_inverse_norm=None,
-                pivot_bound=None,
-                growth_factor=report.growth_factor,
-                growth_bound=None,
-                gepp_growth_bound=gepp_bound,
-                violations=[],
-                singular_block=j,
-            )
+            return SafetyBounds(n, norm, None, j)
         n_minus = max(n_minus, 1.0 / smin)
+    return SafetyBounds(n, norm, n_minus, None)
+
+
+def safety_check(bounds: SafetyBounds, report: SafetyReport) -> SafetyCheckResult:
+    """Verify one report's pivot statistics against its input's bounds.
+
+    Checks every recorded pivot norm <= N_+ (1 + slack), every recorded
+    inverse norm <= N_- (1 + slack), and the growth factor, the largest
+    recorded complement norm over ||A||_2 floored at 1 (exactly 1 for an
+    unmonitored report).
+    """
+    if report.n != bounds.n:
+        raise ShapeError(f"report of order {report.n} does not match bounds of order {bounds.n}")
+    n, norm, n_minus = bounds.n, bounds.input_norm, bounds.max_inverse_norm
+    growth = 1.0
+    for rec in report.records:
+        if rec.complement_norm is not None and norm > 0:
+            growth = max(growth, rec.complement_norm / norm)
+    gepp_bound = float(2.0 ** (n - 1))
+    if not bounds.strongly_nonsingular:
+        return SafetyCheckResult(
+            strongly_nonsingular=False,
+            verdict=None,
+            input_norm=norm,
+            max_inverse_norm=None,
+            pivot_bound=None,
+            growth_factor=growth,
+            growth_bound=None,
+            gepp_growth_bound=gepp_bound,
+            violations=[],
+            singular_block=bounds.singular_block,
+        )
     n_plus = norm + n_minus * norm * norm
     slack = 1.0 + _SAFETY_SLACK
     violations: list[tuple[int, str, float, float]] = []
@@ -551,15 +551,15 @@ def safety_check(a, report: SafetyReport) -> SafetyCheckResult:
             if value > bound * slack:
                 violations.append((rec.step, label, value, bound))
     growth_bound = float((n_plus * n_minus) ** np.log2(n)) if n > 1 else 1.0
-    if report.growth_factor > growth_bound * slack:
-        violations.append((0, "growth factor", report.growth_factor, growth_bound))
+    if growth > growth_bound * slack:
+        violations.append((0, "growth factor", growth, growth_bound))
     return SafetyCheckResult(
         strongly_nonsingular=True,
         verdict=not violations,
         input_norm=norm,
         max_inverse_norm=n_minus,
         pivot_bound=n_plus,
-        growth_factor=report.growth_factor,
+        growth_factor=growth,
         growth_bound=growth_bound,
         gepp_growth_bound=gepp_bound,
         violations=violations,

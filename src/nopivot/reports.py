@@ -97,12 +97,3 @@ def render_report(report: TableReport, fmt: str) -> str:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_RENDERERS)}") from None
     return renderer(report)
 
-
-def emit_report(report: TableReport, fmt: str, destination) -> None:
-    """Write the rendered report to a path or file-like destination."""
-    text = render_report(report, fmt)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)

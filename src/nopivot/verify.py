@@ -713,13 +713,14 @@ def check_safety_bounds(
     for t in range(trials):
         g = randgen.gaussian_matrix(seed.derive("safety", t), n, n)
         a = g.T @ g + np.eye(n)
-        _, scalar_report = factor.genp_factor(a, monitor="spectral")
-        scalar_check = factor.safety_check(a, scalar_report)
-        _, block_report = factor.block_genp_factor(a, schedule, monitor="spectral")
-        block_check = factor.safety_check(a, block_report)
-        if not scalar_check.strongly_nonsingular or not block_check.strongly_nonsingular:
+        bounds = factor.safety_bounds(a)
+        if not bounds.strongly_nonsingular:
             degenerate += 1
             continue
+        _, scalar_report = factor.genp_factor(a, monitor="spectral")
+        scalar_check = factor.safety_check(bounds, scalar_report)
+        _, block_report = factor.block_genp_factor(a, schedule, monitor="spectral")
+        block_check = factor.safety_check(bounds, block_report)
         scalar_fail += 0 if scalar_check.verdict else 1
         block_fail += 0 if block_check.verdict else 1
         worst_margin = max(worst_margin, scalar_check.margin or 0.0, block_check.margin or 0.0)

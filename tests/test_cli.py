@@ -159,9 +159,41 @@ class TestGenerateAndSolve:
             assert cli.main(argv + ["--json", "--emit-solution"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["failure"]["kind"] == "NonFiniteSolutionError"
-        assert math.isinf(payload["relative_residual"])
+        assert payload["relative_residual"] is None
         assert payload["residual_history"] == []
         assert "solution" not in payload
+
+    @pytest.mark.parametrize(
+        "a, b, kind",
+        [([[1e-300, 1.0], [1.0, 1.0]], [1e10, 1.0], "NonFiniteSolutionError"),
+         ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0], "ZeroPivotError")],
+        ids=["overflow", "zero-pivot"],
+    )
+    def test_solve_failure_json_is_strict(self, a, b, kind, tmp_path, capsys):
+        # RFC 8259 has no Infinity or NaN: a failed solve's residual is null.
+        dense.write_matrix(np.array(a), tmp_path / "a.txt")
+        dense.write_matrix(np.array(b)[:, None], tmp_path / "b.txt")
+        argv = ["solve", "--matrix", str(tmp_path / "a.txt"), "--rhs", str(tmp_path / "b.txt"),
+                "--left", "none", "--right", "none", "--json"]
+        assert cli.main(argv) == 1
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["failure"]["kind"] == kind
+        assert payload["relative_residual"] is None
+
+    def test_solve_json_infinite_growth_is_null(self, tmp_path, capsys):
+        # U overflows to -inf while the solution [0, -0] stays finite: a passed
+        # solve whose u_growth and largest pivot are infinite.
+        dense.write_matrix(np.array([[1e-300, 1e10], [1.0, 1.0]]), tmp_path / "a.txt")
+        dense.write_matrix(np.array([[0.0], [1.0]]), tmp_path / "b.txt")
+        argv = ["solve", "--matrix", str(tmp_path / "a.txt"), "--rhs", str(tmp_path / "b.txt"),
+                "--left", "none", "--right", "none", "--json"]
+        assert cli.main(argv) == 0
+        safety = json.loads(capsys.readouterr().out)["safety"]
+        assert safety == {"u_growth": None, "min_pivot": 1e-300, "max_pivot": None}
 
     def test_solve_json_reports_u_growth(self, tmp_path, capsys):
         dense.write_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), tmp_path / "a.txt")

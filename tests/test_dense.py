@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nopivot import dense
-from nopivot.errors import ShapeError, SingularMatrixError, SizeError
+from nopivot.errors import ShapeError, SizeError
 
 RNG = np.random.default_rng
 
@@ -179,22 +179,11 @@ class TestHouseholderQr:
 
 
 class TestLeadingBlock:
-    def test_full_block_is_input(self):
-        a = RNG(10).standard_normal((4, 5))
-        assert np.array_equal(dense.leading_block(a, 4, 5), a)
-
-    def test_hand_example(self):
-        assert np.array_equal(dense.leading_block([[1.0, 2.0], [3.0, 4.0]], 1, 2), [[1.0, 2.0]])
-
-    def test_out_of_range(self):
-        with pytest.raises(ShapeError):
-            dense.leading_block(np.eye(2), 3, 1)
-
     def test_interlacing_oracle(self):
         # Singular values of a submatrix never exceed those of the matrix.
         a = RNG(11).standard_normal((8, 8))
         sig_a = dense.jacobi_svd(a).singular_values
-        sig_b = dense.jacobi_svd(dense.leading_block(a, 3, 3)).singular_values
+        sig_b = dense.jacobi_svd(a[:3, :3]).singular_values
         for j in range(3):
             assert sig_a[j] >= sig_b[j] - 1e-8 * sig_a[0]
 
@@ -229,23 +218,6 @@ class TestColumnInterlacing:
 
 
 class TestInverseNorm:
-    def test_diagonal(self):
-        assert dense.inverse_norm(np.diag([2.0, 0.5])) == pytest.approx(2.0, rel=1e-12)
-
-    def test_orthogonal(self):
-        q = dense.householder_qr(RNG(14).standard_normal((5, 5))).q_factor
-        assert dense.inverse_norm(q) == pytest.approx(1.0, rel=1e-10)
-
-    def test_matches_svd_oracle(self):
-        a = RNG(15).standard_normal((16, 16)) + 4 * np.eye(16)
-        expected = 1.0 / np.linalg.svd(a, compute_uv=False)[-1]
-        assert dense.inverse_norm(a) == pytest.approx(expected, rel=1e-6)
-
-    def test_singular_input_reports_sigma(self):
-        with pytest.raises(SingularMatrixError) as err:
-            dense.inverse_norm(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert err.value.sigma_min is not None and err.value.sigma_min < 1e-13
-
     def test_pseudo_inverse_identity(self):
         # Full-column-rank A: 1/sigma_min agrees with || (A^T A)^{-1} A^T ||.
         a = RNG(16).standard_normal((8, 4))
@@ -266,20 +238,9 @@ class TestPerturbationBound:
             e *= 0.4 / mu_raw
             mu = dense.spectral_norm(np.linalg.solve(a, e))
             assert mu <= 0.5 + 1e-12
-            lhs = dense.inverse_norm(a + e)
-            rhs = dense.inverse_norm(a) / (1.0 - mu)
+            lhs = 1.0 / dense.singular_values(a + e)[-1]
+            rhs = (1.0 / dense.singular_values(a)[-1]) / (1.0 - mu)
             assert lhs <= rhs + 1e-8
-
-
-class TestUtilities:
-    def test_numerical_rank(self):
-        a = np.diag([1.0, 1e-3, 1e-14])
-        assert dense.numerical_rank(a) == 2
-        assert dense.numerical_rank(a, tol=1e-16) == 3
-
-    def test_condition_number(self):
-        assert dense.condition_number(np.diag([4.0, 2.0])) == pytest.approx(2.0, rel=1e-12)
-        assert dense.condition_number(np.diag([1.0, 0.0])) == np.inf
 
 
 class TestTextFormat:

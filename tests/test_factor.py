@@ -38,6 +38,55 @@ def exact_genp_pivots(int_matrix):
     return pivots
 
 
+def reference_safety_check(a, report):
+    """``safety_check(a, report)`` as it was before the per-input scan moved to
+    ``safety_bounds``: one leading-block scan per call, and the growth factor
+    read off a report whose monitored runs stored ``dense.spectral_norm(a)``."""
+    n = a.shape[0]
+    input_norm = dense.spectral_norm(a) if report.monitor else None
+    growth_factor = 1.0
+    for rec in report.records:
+        if rec.complement_norm is not None and input_norm > 0:
+            growth_factor = max(growth_factor, rec.complement_norm / input_norm)
+    norm = dense.spectral_norm(a)
+    gepp_bound = float(2.0 ** (n - 1))
+    sizes = list(range(1, n + 1))
+    if n > 128:
+        sizes = [2**p for p in range(n.bit_length()) if 2**p < n] + [n]
+    n_minus = 0.0
+    for j in sizes:
+        smin, smax = factor._sigma_extremes(a[:j, :j])
+        if smin <= 1e-13 * smax:
+            return factor.SafetyCheckResult(
+                strongly_nonsingular=False, verdict=None, input_norm=norm, max_inverse_norm=None,
+                pivot_bound=None, growth_factor=growth_factor, growth_bound=None,
+                gepp_growth_bound=gepp_bound, violations=[], singular_block=j,
+            )
+        n_minus = max(n_minus, 1.0 / smin)
+    n_plus = norm + n_minus * norm * norm
+    slack = 1.0 + 1e-6
+    violations = []
+    worst = 0.0
+    for rec in report.records:
+        checks = [("pivot norm", rec.pivot_norm, n_plus), ("pivot inverse norm", rec.pivot_inverse_norm, n_minus)]
+        if rec.complement_norm is not None:
+            checks.append(("complement norm", rec.complement_norm, n_plus))
+        if rec.complement_inverse_norm is not None:
+            checks.append(("complement inverse norm", rec.complement_inverse_norm, n_minus))
+        for label, value, bound in checks:
+            worst = max(worst, value / bound)
+            if value > bound * slack:
+                violations.append((rec.step, label, value, bound))
+    growth_bound = float((n_plus * n_minus) ** np.log2(n)) if n > 1 else 1.0
+    if growth_factor > growth_bound * slack:
+        violations.append((0, "growth factor", growth_factor, growth_bound))
+    return factor.SafetyCheckResult(
+        strongly_nonsingular=True, verdict=not violations, input_norm=norm, max_inverse_norm=n_minus,
+        pivot_bound=n_plus, growth_factor=growth_factor, growth_bound=growth_bound,
+        gepp_growth_bound=gepp_bound, violations=violations, singular_block=None, margin=worst,
+    )
+
+
 class TestGenp:
     def test_hand_example(self):
         fact, report = factor.genp_factor([[2.0, 1.0], [1.0, 1.0]])
@@ -69,7 +118,6 @@ class TestGenp:
         a = spd_like(1, 12)
         _, report = factor.genp_factor(a)
         assert len(report.records) == 12
-        assert report.growth_factor >= 1.0
 
     def test_hard_matrix_completes_but_corrupts(self):
         # Singular leading half block: factorization runs to completion yet
@@ -264,7 +312,7 @@ class TestBlockFactorization:
     def test_reconstruction_bound(self):
         a = RNG(16).standard_normal((12, 12)) + 4 * np.eye(12)
         fact, report = factor.block_genp_factor(a, (3, 5, 4))
-        tol = 1e-9 * np.linalg.norm(a, 2) * (1.0 + report.growth_factor)
+        tol = 1e-9 * np.linalg.norm(a, 2) * 2.0
         assert np.linalg.norm(fact.reconstruct() - a, 2) <= tol
 
     def test_solve_matches_gepp(self):
@@ -306,18 +354,15 @@ class TestBlockFactorization:
 
 
 class TestDeterminant:
-    def test_parity(self):
-        assert factor.determinant(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(-1.0)
-
     def test_det_product_identity(self):
         # det A = det B * det S over random instances.
         rng = RNG(20)
         for _ in range(25):
             a = rng.standard_normal((8, 8)) + 3 * np.eye(8)
             k = int(rng.integers(1, 8))
-            det_a = factor.determinant(a)
-            det_b = factor.determinant(a[:k, :k])
-            det_s = factor.determinant(factor.schur_complement(a, k))
+            det_a = np.linalg.det(a)
+            det_b = np.linalg.det(a[:k, :k])
+            det_s = np.linalg.det(factor.schur_complement(a, k))
             assert det_a == pytest.approx(det_b * det_s, rel=1e-8)
 
     def test_exact_shadow_iff_minors(self):
@@ -345,7 +390,7 @@ class TestSafety:
     def test_identity_matrix(self):
         a = np.eye(4)
         _, report = factor.genp_factor(a, monitor="spectral")
-        result = factor.safety_check(a, report)
+        result = factor.safety_check(factor.safety_bounds(a), report)
         assert result.strongly_nonsingular
         assert result.verdict is True
         assert result.input_norm == pytest.approx(1.0)
@@ -356,7 +401,7 @@ class TestSafety:
     def test_spd_like_passes(self):
         a = spd_like(22, 16)
         _, report = factor.genp_factor(a, monitor="spectral")
-        result = factor.safety_check(a, report)
+        result = factor.safety_check(factor.safety_bounds(a), report)
         assert result.verdict is True
         assert result.growth_factor <= result.growth_bound
         assert result.gepp_growth_bound == 2.0 ** 15
@@ -364,14 +409,16 @@ class TestSafety:
     def test_block_report_passes(self):
         a = spd_like(23, 16)
         _, report = factor.block_genp_factor(a, (4, 4, 4, 4), monitor="spectral")
-        result = factor.safety_check(a, report)
+        result = factor.safety_check(factor.safety_bounds(a), report)
         assert result.verdict is True
         assert all(r.complement_inverse_norm is not None for r in report.records[:-1])
 
     def test_hard_matrix_not_strongly_nonsingular(self):
         inst = hard_matrix(Seed(100).derive("i", 2), 64, 4)
         _, report = factor.genp_factor(inst.matrix)
-        result = factor.safety_check(inst.matrix, report)
+        bounds = factor.safety_bounds(inst.matrix)
+        assert not bounds.strongly_nonsingular and bounds.max_inverse_norm is None
+        result = factor.safety_check(bounds, report)
         assert not result.strongly_nonsingular
         assert result.verdict is None
         assert result.singular_block is not None
@@ -380,7 +427,7 @@ class TestSafety:
     def test_norm_product_at_least_one(self):
         a = spd_like(24, 8)
         _, report = factor.genp_factor(a, monitor="spectral")
-        result = factor.safety_check(a, report)
+        result = factor.safety_check(factor.safety_bounds(a), report)
         assert result.max_inverse_norm * result.input_norm >= 1.0 - 1e-10
 
 
@@ -389,27 +436,28 @@ class TestMonitor:
 
     def test_default_reports_hold_pivots_only(self):
         a = spd_like(30, 12)
+        bounds = factor.safety_bounds(a)
         (_, scalar), (_, block) = factor.genp_factor(a), factor.block_genp_factor(a, (4, 4, 4))
         for report in (scalar, block):
             assert report.monitor is None
-            assert report.input_norm is None
             assert all(rec.complement_norm is None for rec in report.records)
-            assert report.growth_factor == 1.0
+            assert factor.safety_check(bounds, report).growth_factor == 1.0
         assert block.u_growth is None
 
     @pytest.mark.parametrize("n", [1, 5, 8])
     def test_spectral_complement_norms_match_linalg(self, n):
         a = spd_like(31 + n, n)
         _, report = factor.genp_factor(a, monitor="spectral")
-        assert report.input_norm == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
+        bounds = factor.safety_bounds(a)
+        assert bounds.input_norm == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
         for k, rec in enumerate(report.records, start=1):
             if k == n:
                 assert rec.complement_norm is None
                 continue
             schur = a[k:, k:] - a[k:, :k] @ np.linalg.solve(a[:k, :k], a[:k, k:])
             assert rec.complement_norm == pytest.approx(np.linalg.norm(schur, 2), rel=1e-10)
-        expected = max([1.0] + [r.complement_norm / report.input_norm for r in report.records[:-1]])
-        assert report.growth_factor == expected
+        expected = max([1.0] + [r.complement_norm / bounds.input_norm for r in report.records[:-1]])
+        assert factor.safety_check(bounds, report).growth_factor == expected
 
     @pytest.mark.parametrize("a, expected", [([[2.0, 1.0], [1.0, 1.0]], 1.0), ([[1.0, 2.0], [3.0, 4.0]], 0.5)])
     def test_u_growth_hand_examples(self, a, expected):
@@ -427,15 +475,76 @@ class TestMonitor:
     def test_degenerate_check_reports_exact_input_norm(self):
         inst = hard_matrix(Seed(100).derive("i", 2), 64, 4)
         _, report = factor.genp_factor(inst.matrix)
-        result = factor.safety_check(inst.matrix, report)
+        result = factor.safety_check(factor.safety_bounds(inst.matrix), report)
         assert result.strongly_nonsingular is False
         assert result.input_norm == dense.spectral_norm(inst.matrix)
+
+
+class TestSafetySplit:
+    """``safety_check(safety_bounds(a), report)`` equals the one-call check field by field."""
+
+    @staticmethod
+    def assert_same(a, report):
+        got = factor.safety_check(factor.safety_bounds(a), report)
+        want = reference_safety_check(a, report)
+        assert got.__dict__ == want.__dict__
+
+    @pytest.mark.parametrize("monitor", [None, "spectral"])
+    @pytest.mark.parametrize("n, schedule", [(1, (1,)), (2, (1, 1)), (5, (2, 3)), (16, (4, 4, 4, 4))])
+    def test_matches_reference_on_spd(self, n, schedule, monitor):
+        a = spd_like(40 + n, n)
+        self.assert_same(a, factor.genp_factor(a, monitor=monitor)[1])
+        self.assert_same(a, factor.block_genp_factor(a, schedule, monitor=monitor)[1])
+
+    def test_matches_reference_on_degenerate_input(self):
+        inst = hard_matrix(Seed(100).derive("i", 2), 64, 4)
+        self.assert_same(inst.matrix, factor.genp_factor(inst.matrix)[1])
+        # A numerically singular 2x2 leading block: GENP runs through the 2^-46
+        # pivot, so the monitored growth factor is large on the degenerate path.
+        small = spd_like(49, 8)
+        small[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + 2.0**-46]]
+        _, report = factor.genp_factor(small, monitor="spectral")
+        assert factor.safety_check(factor.safety_bounds(small), report).growth_factor > 1e10
+        self.assert_same(small, report)
+
+    def test_matches_reference_on_sampled_scan(self):
+        # Above _FULL_SCAN_LIMIT the scan samples power-of-two leading blocks.
+        n = 130
+        assert n > factor._FULL_SCAN_LIMIT
+        a = spd_like(45, n)
+        self.assert_same(a, factor.block_genp_factor(a, (65, 65), monitor="spectral")[1])
+
+    def test_order_mismatch_rejected(self):
+        _, report = factor.genp_factor(spd_like(46, 4))
+        with pytest.raises(ShapeError):
+            factor.safety_check(factor.safety_bounds(spd_like(46, 5)), report)
+
+    def test_monitored_elimination_makes_no_svd_of_its_input(self, monkeypatch):
+        a = spd_like(47, 8)
+        shapes = []
+        original = dense.singular_values
+        monkeypatch.setattr(dense, "singular_values", lambda m: shapes.append(np.shape(m)) or original(m))
+        factor.genp_factor(a, monitor="spectral")
+        assert shapes == [(k, k) for k in range(7, 0, -1)]
+        shapes.clear()
+        factor.block_genp_factor(a, (4, 4), monitor="spectral")
+        assert (8, 8) not in shapes
+
+    def test_suite_trial_svd_count(self, monkeypatch):
+        # n = 16, block 4: 16 scan blocks, ||A||_2, 15 GENP complements, and
+        # 4 pivot blocks plus 3 complements of the block run (58 with a scan
+        # per check and ||A||_2 in every elimination and check).
+        calls = []
+        original = dense.singular_values
+        monkeypatch.setattr(dense, "singular_values", lambda m: calls.append(1) or original(m))
+        verify.check_safety_bounds(Seed(48), trials=1, n=16)
+        assert len(calls) == 16 + 1 + 15 + 7
 
 
 class TestInverseNormEstimate:
     def test_matches_jacobi(self):
         a = RNG(25).standard_normal((24, 24)) + 2 * np.eye(24)
-        exact = dense.inverse_norm(a)
+        exact = 1.0 / dense.singular_values(a)[-1]
         assert factor.inverse_norm_estimate(a) == pytest.approx(exact, rel=1e-3)
 
     def test_large_path(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -49,14 +50,13 @@ class TestIdentityPlan:
         assert np.array_equal(out.solution, direct)
 
     def test_outcome_report_holds_pivots_only(self):
-        # The solve path runs no safety monitor: no input norm, no complement norms.
+        # The solve path runs no safety monitor: no complement norms.
         a = strongly_nonsingular(2, 16)
         b = RNG(3).standard_normal(16)
         for plan in (pipeline.PreconditionPlan(left=None, right=None), pipeline.PreconditionPlan()):
             safety = pipeline.preconditioned_solve(a, b, plan, Seed(2)).safety
-            assert safety.monitor is None and safety.input_norm is None
+            assert safety.monitor is None
             assert all(rec.complement_norm is None for rec in safety.records)
-            assert safety.growth_factor == 1.0
             assert 0.0 < safety.u_growth < math.inf
 
     def test_none_string_alias(self):
@@ -126,6 +126,16 @@ class TestPreconditionedSolve:
         assert out.solution is None
         assert math.isinf(out.relative_residual)
         assert out.residual_history == []
+
+    def test_overflow_raises_no_warning(self):
+        # The structured failure is the whole report: numpy's overflow warning stays inside.
+        a = np.array([[1e-300, 1.0], [1.0, 1.0]])
+        b = np.array([1e10, 1.0])
+        plan = pipeline.PreconditionPlan(left=None, right=None, refinement_steps=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pipeline.preconditioned_solve(a, b, plan, Seed(10))
+        assert out.failure.kind == "NonFiniteSolutionError"
 
     def test_non_finite_refinement_keeps_last_finite_iterate(self, monkeypatch):
         a = strongly_nonsingular(5, 8)

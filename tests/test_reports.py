@@ -84,14 +84,3 @@ class TestRenderers:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             reports.render_report(make_report(), "xml")
-
-    def test_emit_to_path_and_file(self, tmp_path):
-        report = make_report([reports.StatsRow(8, 0, 1.0, 2.0, 1.5, 0.5)])
-        path = tmp_path / "out.csv"
-        reports.emit_report(report, "csv", path)
-        assert path.read_text().startswith("dimension,")
-        import io
-
-        buf = io.StringIO()
-        reports.emit_report(report, "json", buf)
-        assert json.loads(buf.getvalue())["title"] == "demo"
