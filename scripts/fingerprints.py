@@ -9,6 +9,9 @@ every table and suite byte-identical:
 
     python scripts/fingerprints.py --seed 20120 --rounds 3 > after.txt
 
+With ``--values`` each line ends in the part's canonical JSON instead of its
+sha256; ``scripts/valuediff.py`` compares two such files value by value.
+
 The package and ``perfbench/workloads.py`` are imported from this script's
 own checkout, and BLAS is pinned to one thread as in the benchmark.
 """
@@ -33,6 +36,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=20120, help="benchmark seed (default %(default)s)")
     parser.add_argument("--rounds", type=int, default=3, help="rounds per workload (default %(default)s)")
+    parser.add_argument("--values", action="store_true", help="print each part's canonical JSON, not its sha256")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
@@ -41,8 +45,9 @@ def main(argv=None) -> int:
             master = workloads.round_seed(args.seed, r)
             for label in workload.parts:
                 text = workloads.fingerprint(workload.run_part(label, master))
-                digest = hashlib.sha256(text.encode()).hexdigest()
-                print(f"{name} {r} {label} {digest}", flush=True)
+                if not args.values:
+                    text = hashlib.sha256(text.encode()).hexdigest()
+                print(f"{name} {r} {label} {text}", flush=True)
     return 0
 
 

@@ -9,7 +9,6 @@ collected and sorted before aggregation, so reports are order independent.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import instances, pipeline
@@ -102,6 +101,7 @@ def run_residual_experiment(config: ExperimentConfig, workers: int = 1) -> Table
             for t in range(config.trials)
         ]
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_trial, jobs))
         else:

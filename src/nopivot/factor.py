@@ -9,8 +9,13 @@ Three factorizations:
   materializes triangular factors only on request.
 
 ``genp_factor`` and ``gepp_factor`` run the same rank-1 elimination step
-(``_eliminate``).  Every triangular solve -- L and U in ``lu_solve``, U^T and
-L^T in ``gepp_solve_transpose`` -- goes through one row substitution,
+(``_eliminate``).  GENP is blocked: rank-1 steps confined to a panel of
+``_PANEL`` columns, then U_12 = L_11^{-1} A_12 and one GEMM update
+A_22 -= L_21 U_12; pivots are still read one step at a time.  At n <= _PANEL,
+and under the monitor, which needs each step's full complement, the panel is
+the whole matrix: bit for bit the unblocked loop, which GEPP also runs.  Every
+triangular solve -- L and U in ``lu_solve``, U^T and L^T in
+``gepp_solve_transpose``, U_12 -- goes through one row substitution,
 ``_substitute``, forward for lower and backward for upper triangles.
 
 Every elimination produces a :class:`SafetyReport` of pivot statistics, and
@@ -45,6 +50,7 @@ _SAFETY_SLACK = 1e-6
 # Full leading-block scans for N_- are O(n^4); above this size the scan is
 # sampled at power-of-two block sizes instead.
 _FULL_SCAN_LIMIT = 128
+_PANEL = 64  # GENP panel width; see the module docstring
 
 
 @dataclass
@@ -209,15 +215,15 @@ def _factor_pivot_block(pivot: np.ndarray, step: int):
     return gepp_factor(pivot), smin, smax
 
 
-def _eliminate(work: np.ndarray, lower: np.ndarray, k: int) -> None:
-    """Rank-1 step k: store the multipliers in ``lower``, update the trailing block.
+def _eliminate(work: np.ndarray, lower: np.ndarray, k: int, stop: int | None = None) -> None:
+    """Rank-1 step k: store the multipliers in ``lower``, update columns k+1:stop.
 
     Column k of ``work`` below the pivot is left in place; callers keep only
     ``np.triu(work)``.
     """
     mults = work[k + 1 :, k] / work[k, k]
     lower[k + 1 :, k] = mults
-    work[k + 1 :, k + 1 :] -= np.outer(mults, work[k, k + 1 :])
+    work[k + 1 :, k + 1 : stop] -= np.outer(mults, work[k, k + 1 : stop])
 
 
 def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str | None = None):
@@ -236,13 +242,15 @@ def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str | None = None
     n = a.shape[0]
     work = a.copy()
     lower = np.eye(n)
+    width = n if monitor else _PANEL
     for k in range(n):
+        stop = min(k - k % width + width, n)
         pivot = work[k, k]
         if abs(pivot) <= zero_pivot_threshold:
             raise ZeroPivotError(step=k + 1, pivot=float(pivot))
         comp_norm = None
         if k < n - 1:
-            _eliminate(work, lower, k)
+            _eliminate(work, lower, k, stop)
             if monitor:
                 comp_norm = dense.spectral_norm(work[k + 1 :, k + 1 :])
         report.records.append(
@@ -254,6 +262,10 @@ def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str | None = None
                 complement_norm=comp_norm,
             )
         )
+        if k == stop - 1 < n - 1:  # panel done: U_12, then the Schur update
+            lo = stop - width
+            work[lo:stop, stop:] = _substitute(lower[lo:stop, lo:stop], work[lo:stop, stop:], lower=True, unit=True)
+            work[stop:, stop:] -= lower[stop:, lo:stop] @ work[lo:stop, stop:]
     upper = np.triu(work)
     report.u_growth = float(max(upper.max(), -upper.min()) / max(a.max(), -a.min()))
     return GenpFactorization(lower, upper), report

@@ -82,10 +82,20 @@ class SolveOutcome:
     failure: SolveFailure | None = None
 
 
+def _row_sum(row: list[float]) -> float:
+    """``math.fsum``; a row whose partial sums overflow is summed again at
+    scale 2^-k with 2^k > 2 len(row), exact for terms above 2^(k-1022)."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        scale = 2.0 ** (len(row).bit_length() + 1)
+        return math.fsum(v / scale for v in row) * scale
+
+
 def compensated_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b - A x with correctly rounded row sums (math.fsum per row)."""
+    """b - A x with correctly rounded row sums (``_row_sum`` per row)."""
     products = a * x[None, :]
-    sums = np.array([math.fsum(row.tolist()) for row in products])
+    sums = np.array([_row_sum(row.tolist()) for row in products])
     return b - sums
 
 

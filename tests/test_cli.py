@@ -163,6 +163,20 @@ class TestGenerateAndSolve:
         assert payload["residual_history"] == []
         assert "solution" not in payload
 
+    def test_solve_with_overflowing_residual_row(self, tmp_path, capsys):
+        # The exact GENP solution's residual row sum overflows a partial fsum.
+        dense.write_matrix(np.array([[1.0, 1.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), tmp_path / "a.txt")
+        dense.write_matrix(np.array([[0.5e308], [1e308], [1.5e308]]), tmp_path / "b.txt")
+        argv = ["solve", "--matrix", str(tmp_path / "a.txt"), "--rhs", str(tmp_path / "b.txt"),
+                "--left", "none", "--right", "none", "--emit-solution"]
+        assert cli.main(argv) == 0
+        assert "relative residual: 0.000000e+00" in capsys.readouterr().out
+        assert cli.main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failure"] is None
+        assert payload["relative_residual"] == 0.0
+        assert payload["solution"] == [1e308, 1e308, 1.5e308]
+
     @pytest.mark.parametrize(
         "a, b, kind",
         [([[1e-300, 1.0], [1.0, 1.0]], [1e10, 1.0], "NonFiniteSolutionError"),

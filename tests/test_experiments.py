@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,6 +87,13 @@ class TestRunExperiment:
         sequential = experiments.run_residual_experiment(config, workers=1)
         parallel = experiments.run_residual_experiment(config, workers=2)
         assert sequential.to_dict() == parallel.to_dict()
+
+    def test_import_loads_no_process_pool(self):
+        # ProcessPoolExecutor is imported only when workers > 1.
+        probe = "import sys, nopivot; print(sorted({'concurrent.futures', 'multiprocessing', 'subprocess'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
     def test_cached_instances_match_fresh_ones(self):
         # The four scripts/run_tables.py methods on one master seed: the warm

@@ -87,6 +87,43 @@ def reference_safety_check(a, report):
     )
 
 
+def reference_genp_factor(a, zero_pivot_threshold=0.0, monitor=None):
+    """``genp_factor`` before it was blocked: one full-width rank-1 update per pivot."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    work = a.copy()
+    lower = np.eye(n)
+    records = []
+    for k in range(n):
+        pivot = work[k, k]
+        if abs(pivot) <= zero_pivot_threshold:
+            raise ZeroPivotError(step=k + 1, pivot=float(pivot))
+        comp_norm = None
+        if k < n - 1:
+            mults = work[k + 1 :, k] / work[k, k]
+            lower[k + 1 :, k] = mults
+            work[k + 1 :, k + 1 :] -= np.outer(mults, work[k, k + 1 :])
+            if monitor:
+                comp_norm = dense.spectral_norm(work[k + 1 :, k + 1 :])
+        records.append(factor.PivotRecord(k + 1, 1, abs(float(pivot)), 1.0 / abs(float(pivot)), comp_norm))
+    upper = np.triu(work)
+    report = factor.SafetyReport(n=n, monitor=monitor, records=records)
+    report.u_growth = float(max(upper.max(), -upper.min()) / max(a.max(), -a.min()))
+    return factor.GenpFactorization(lower, upper), report
+
+
+def integer_lu_product(seed, n, diagonal):
+    """L0 @ U0 with entries of L0 and U0 in {-1, 0, 1}, unit L0, and U0's given diagonal.
+
+    With a diagonal of zeros and powers of two, every entry, multiplier and
+    Schur update of GENP on the product is a short binary fraction, so the
+    elimination is exact in any summation order."""
+    rng = RNG(seed)
+    l0 = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n)
+    u0 = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.diag(diagonal)
+    return (l0 @ u0).astype(float), l0, u0
+
+
 class TestGenp:
     def test_hand_example(self):
         fact, report = factor.genp_factor([[2.0, 1.0], [1.0, 1.0]])
@@ -141,6 +178,103 @@ class TestGenp:
         assert report.monitor == "spectral"
         assert all(r.complement_norm is not None for r in report.records[:-1])
         assert report.records[-1].complement_norm is None
+
+
+class TestBlockedGenp:
+    """The panel-blocked ``genp_factor`` against the unblocked loop it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64])
+    def test_single_panel_bit_identical(self, n):
+        # Up to _PANEL columns the panel is the whole matrix: the same arithmetic.
+        assert n <= factor._PANEL
+        a = RNG(70 + n).standard_normal((n, n))
+        fact, report = factor.genp_factor(a)
+        want, want_report = reference_genp_factor(a)
+        assert np.array_equal(fact.l_factor, want.l_factor)
+        assert np.array_equal(fact.u_factor, want.u_factor)
+        assert report == want_report
+
+    def test_hard_instance_bit_identical(self):
+        inst = hard_matrix(Seed(100).derive("i", 0), 64, 4)
+        fact, report = factor.genp_factor(inst.matrix)
+        want, want_report = reference_genp_factor(inst.matrix)
+        assert np.array_equal(fact.u_factor, want.u_factor)
+        assert report == want_report
+
+    def test_monitored_run_bit_identical(self, monkeypatch):
+        # The monitor needs every step's full complement, so it runs unblocked.
+        # Each complement's norm is replaced by its bytes: equal bytes give
+        # equal Jacobi norms, and 158 SVDs of up to 79 x 79 would take ~30 s.
+        n = 80
+        assert n > factor._PANEL
+        monkeypatch.setattr(dense, "spectral_norm", lambda m: hash(m.tobytes()))
+        a = spd_like(71, n)
+        fact, report = factor.genp_factor(a, monitor="spectral")
+        want, want_report = reference_genp_factor(a, monitor="spectral")
+        assert np.array_equal(fact.l_factor, want.l_factor)
+        assert np.array_equal(fact.u_factor, want.u_factor)
+        assert report == want_report
+        assert len({rec.complement_norm for rec in report.records}) == n
+
+    @pytest.mark.parametrize("n", [65, 100, 128, 130, 256])
+    def test_blocked_agrees_to_rounding(self, n):
+        rng = RNG(72 + n)
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        fact, report = factor.genp_factor(a)
+        want, want_report = reference_genp_factor(a)
+        assert np.allclose(fact.l_factor, want.l_factor, rtol=0, atol=1e-14)
+        assert np.allclose(fact.u_factor, want.u_factor, rtol=0, atol=1e-13 * n)
+        assert np.array_equal(np.tril(fact.l_factor), fact.l_factor)
+        assert np.array_equal(np.triu(fact.u_factor), fact.u_factor)
+        assert [r.step for r in report.records] == list(range(1, n + 1))
+        assert np.allclose(report.pivot_magnitudes, want_report.pivot_magnitudes, rtol=1e-14, atol=0)
+        assert report.u_growth == pytest.approx(want_report.u_growth, rel=1e-14)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x = factor.lu_solve(fact, b)
+            assert x.shape == b.shape
+            assert np.allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n, widths", [(64, []), (65, [1]), (256, [192, 128, 64])])
+    def test_one_substitution_per_panel_boundary(self, n, widths, monkeypatch):
+        # U_12 of each 64-column panel, as wide as the columns right of it.
+        shapes = []
+        original = factor._substitute
+        monkeypatch.setattr(factor, "_substitute", lambda t, b, **kw: shapes.append(b.shape) or original(t, b, **kw))
+        factor.genp_factor(spd_like(73, n))
+        assert shapes == [(64, w) for w in widths]
+
+    def test_exact_zero_pivot_past_first_panel(self):
+        # The zero at step 100 comes out exactly from the first panel's Schur update.
+        n = 128
+        diagonal = np.where(np.arange(n) == 99, 0, 1)
+        a, _, _ = integer_lu_product(74, n, diagonal)
+        with pytest.raises(ZeroPivotError) as err:
+            factor.genp_factor(a)
+        assert err.value.step == 100
+        assert err.value.pivot == 0.0
+        with pytest.raises(ZeroPivotError) as want:
+            reference_genp_factor(a)
+        assert want.value.step == 100
+
+    def test_exact_factors_past_first_panel(self):
+        n = 128
+        a, l0, u0 = integer_lu_product(75, n, RNG(76).choice([-1, 1], n))
+        fact, report = factor.genp_factor(a)
+        assert np.array_equal(fact.l_factor, l0)
+        assert np.array_equal(fact.u_factor, u0)
+        assert report.pivot_magnitudes.tolist() == [1.0] * n
+
+    def test_threshold_abort_past_first_panel(self):
+        n = 128
+        diagonal = np.where(np.arange(n) == 99, 2.0**-20, 1.0)
+        a, _, _ = integer_lu_product(77, n, diagonal)
+        factor.genp_factor(a)  # runs through the small pivot at threshold 0
+        with pytest.raises(ZeroPivotError) as err:
+            factor.genp_factor(a, zero_pivot_threshold=1e-3)
+        assert (err.value.step, err.value.pivot) == (100, 2.0**-20)
+        with pytest.raises(ZeroPivotError) as want:
+            reference_genp_factor(a, zero_pivot_threshold=1e-3)
+        assert (want.value.step, want.value.pivot) == (100, 2.0**-20)
 
 
 class TestGepp:

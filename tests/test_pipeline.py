@@ -32,6 +32,27 @@ class TestResidualMeasurement:
         for got, want in zip(mine, exact):
             assert got == pytest.approx(float(want), abs=1e-16)
 
+    def test_overflowing_row_sum_rescaled_exactly(self):
+        # Row 0's products 1e308 + 1e308 overflow a partial fsum; the exact sum does not.
+        a = np.array([[1.0, 1.0, -1.0, 3.0, 2.0**-30], [0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]])
+        x = np.array([1e308, 1e308, 1.5e308, 1.0, 1.0])
+        b = np.array([1e308, 1e308, 0.25])
+        exact = Fraction(b[0]) - sum(Fraction(aij) * Fraction(xj) for aij, xj in zip(a[0], x))
+        r = pipeline.compensated_residual(a, x, b)
+        assert r[0] == float(exact)
+        # Rows that fsum sums without overflow keep its bits.
+        assert r[1] == b[1] - math.fsum((a[1] * x).tolist())
+        assert r[2] == b[2] - math.fsum((a[2] * x).tolist())
+
+    def test_overflowing_row_sum_exact_zero_and_infinite_sum(self):
+        a = np.array([[1.0, 1.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        x = np.array([1e308, 1e308, 1.5e308])
+        b = np.array([0.5e308, 1e308, 1.5e308])
+        assert pipeline.compensated_residual(a, x, b).tolist() == [0.0, 0.0, 0.0]
+        big = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        r = pipeline.compensated_residual(big, np.array([1e308, 1e308]), np.zeros(2))
+        assert r.tolist() == [-math.inf, math.inf]
+
     def test_relative_residual_scale(self):
         a = strongly_nonsingular(1, 8)
         x = RNG(2).standard_normal(8)
