@@ -12,6 +12,15 @@ every table and suite byte-identical:
 With ``--values`` each line ends in the part's canonical JSON instead of its
 sha256; ``scripts/valuediff.py`` compares two such files value by value.
 
+With ``--gates`` the script scans for benchmark gate misses instead: it
+prints ``<workload> <round> <part> failed <failed>/<attempted> max <final
+max>`` for every part that fails ``workload.check`` (the final max is that of
+a table's last row, ``-`` for a suite), a count on standard error, and exits
+1 if any part failed.  ``--workload`` and ``--start`` pick the workload and
+the first round:
+
+    python scripts/fingerprints.py --gates --workload tables-n256 --rounds 300
+
 The package and ``perfbench/workloads.py`` are imported from this script's
 own checkout, and BLAS is pinned to one thread as in the benchmark.
 """
@@ -36,19 +45,39 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=20120, help="benchmark seed (default %(default)s)")
     parser.add_argument("--rounds", type=int, default=3, help="rounds per workload (default %(default)s)")
-    parser.add_argument("--values", action="store_true", help="print each part's canonical JSON, not its sha256")
+    parser.add_argument("--start", type=int, default=0, help="first round (default %(default)s)")
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), help="run only this workload")
+    output = parser.add_mutually_exclusive_group()
+    output.add_argument("--values", action="store_true", help="print each part's canonical JSON, not its sha256")
+    output.add_argument("--gates", action="store_true", help="print only the parts that fail the benchmark's gate")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
-    for name, workload in workloads.WORKLOADS.items():
-        for r in range(args.rounds):
+    if args.start < 0:
+        parser.error("--start must be >= 0")
+    names = [args.workload] if args.workload else list(workloads.WORKLOADS)
+    scanned = missed = 0
+    for name in names:
+        workload = workloads.WORKLOADS[name]
+        for r in range(args.start, args.start + args.rounds):
             master = workloads.round_seed(args.seed, r)
             for label in workload.parts:
-                text = workloads.fingerprint(workload.run_part(label, master))
+                report = workload.run_part(label, master)
+                if args.gates:
+                    attempted, failed = workload.check(label, report)
+                    scanned += 1
+                    if failed:
+                        missed += 1
+                        final = report.rows[-1].max if isinstance(workload, workloads.TableWorkload) else "-"
+                        print(f"{name} {r} {label} failed {failed}/{attempted} max {final}", flush=True)
+                    continue
+                text = workloads.fingerprint(report)
                 if not args.values:
                     text = hashlib.sha256(text.encode()).hexdigest()
                 print(f"{name} {r} {label} {text}", flush=True)
-    return 0
+    if args.gates:
+        print(f"{missed} of {scanned} parts missed their gate", file=sys.stderr)
+    return int(missed > 0)
 
 
 if __name__ == "__main__":

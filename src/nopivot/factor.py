@@ -8,15 +8,16 @@ Three factorizations:
   schedule; stores the block factors implicitly (in-place Schur updates) and
   materializes triangular factors only on request.
 
-``genp_factor`` and ``gepp_factor`` run the same rank-1 elimination step
-(``_eliminate``).  GENP is blocked: rank-1 steps confined to a panel of
-``_PANEL`` columns, then U_12 = L_11^{-1} A_12 and one GEMM update
-A_22 -= L_21 U_12; pivots are still read one step at a time.  At n <= _PANEL,
-and under the monitor, which needs each step's full complement, the panel is
-the whole matrix: bit for bit the unblocked loop, which GEPP also runs.  Every
-triangular solve -- L and U in ``lu_solve``, U^T and L^T in
-``gepp_solve_transpose``, U_12 -- goes through one row substitution,
-``_substitute``, forward for lower and backward for upper triangles.
+``genp_factor`` and ``gepp_factor`` run the same blocked elimination step
+(``_eliminate``): rank-1 steps confined to a panel of ``_PANEL`` columns, then
+U_12 = L_11^{-1} A_12 and one GEMM update A_22 -= L_21 U_12.  Pivots are still
+read one step at a time; GEPP takes each from the up-to-date column k of the
+panel and swaps whole rows.  At n <= _PANEL, and for GENP under the monitor,
+which needs each step's full complement, the panel is the whole matrix: bit for
+bit the unblocked loop.  Every triangular solve -- L and U in ``lu_solve``,
+U^T and L^T in ``gepp_solve_transpose``, U_12 -- goes through one row
+substitution, ``_substitute``, forward for lower and backward for upper
+triangles.
 
 Every elimination produces a :class:`SafetyReport` of pivot statistics, and
 ``genp_factor`` adds the final-factor growth max|U| / max|A|.  The monitor is
@@ -50,7 +51,7 @@ _SAFETY_SLACK = 1e-6
 # Full leading-block scans for N_- are O(n^4); above this size the scan is
 # sampled at power-of-two block sizes instead.
 _FULL_SCAN_LIMIT = 128
-_PANEL = 64  # GENP panel width; see the module docstring
+_PANEL = 64  # panel width of both eliminations; see the module docstring
 
 
 @dataclass
@@ -215,15 +216,23 @@ def _factor_pivot_block(pivot: np.ndarray, step: int):
     return gepp_factor(pivot), smin, smax
 
 
-def _eliminate(work: np.ndarray, lower: np.ndarray, k: int, stop: int | None = None) -> None:
-    """Rank-1 step k: store the multipliers in ``lower``, update columns k+1:stop.
+def _eliminate(work: np.ndarray, lower: np.ndarray, k: int, width: int) -> None:
+    """Step k of the right-looking elimination blocked in panels of ``width``.
 
-    Column k of ``work`` below the pivot is left in place; callers keep only
-    ``np.triu(work)``.
+    Stores the multipliers in ``lower`` and updates the panel's columns k+1
+    onward; after a panel's last column, U_12 = L_11^{-1} A_12 and one GEMM
+    A_22 -= L_21 U_12.  Column k of ``work`` below the pivot is left in place;
+    callers keep only ``np.triu(work)``.
     """
+    n = work.shape[0]
+    stop = min(k - k % width + width, n)
     mults = work[k + 1 :, k] / work[k, k]
     lower[k + 1 :, k] = mults
     work[k + 1 :, k + 1 : stop] -= np.outer(mults, work[k, k + 1 : stop])
+    if k == stop - 1 < n - 1:
+        lo = stop - width
+        work[lo:stop, stop:] = _substitute(lower[lo:stop, lo:stop], work[lo:stop, stop:], lower=True, unit=True)
+        work[stop:, stop:] -= lower[stop:, lo:stop] @ work[lo:stop, stop:]
 
 
 def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str | None = None):
@@ -244,13 +253,12 @@ def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str | None = None
     lower = np.eye(n)
     width = n if monitor else _PANEL
     for k in range(n):
-        stop = min(k - k % width + width, n)
         pivot = work[k, k]
         if abs(pivot) <= zero_pivot_threshold:
             raise ZeroPivotError(step=k + 1, pivot=float(pivot))
         comp_norm = None
         if k < n - 1:
-            _eliminate(work, lower, k, stop)
+            _eliminate(work, lower, k, width)
             if monitor:
                 comp_norm = dense.spectral_norm(work[k + 1 :, k + 1 :])
         report.records.append(
@@ -262,10 +270,6 @@ def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str | None = None
                 complement_norm=comp_norm,
             )
         )
-        if k == stop - 1 < n - 1:  # panel done: U_12, then the Schur update
-            lo = stop - width
-            work[lo:stop, stop:] = _substitute(lower[lo:stop, lo:stop], work[lo:stop, stop:], lower=True, unit=True)
-            work[stop:, stop:] -= lower[stop:, lo:stop] @ work[lo:stop, stop:]
     upper = np.triu(work)
     report.u_growth = float(max(upper.max(), -upper.min()) / max(a.max(), -a.min()))
     return GenpFactorization(lower, upper), report
@@ -281,15 +285,13 @@ def gepp_factor(a) -> GeppFactorization:
     for k in range(n):
         p = k + int(np.argmax(np.abs(work[k:, k])))
         if abs(work[p, k]) < _GEPP_PIVOT_FLOOR:
-            raise SingularMatrixError(
-                f"no usable pivot in column {k + 1}", step=k + 1
-            )
+            raise SingularMatrixError(f"no usable pivot in column {k + 1}", step=k + 1)
         if p != k:
             work[[k, p], :] = work[[p, k], :]
             perm[[k, p]] = perm[[p, k]]
             if k > 0:
                 lower[[k, p], :k] = lower[[p, k], :k]
-        _eliminate(work, lower, k)
+        _eliminate(work, lower, k, _PANEL)
     return GeppFactorization(perm, lower, np.triu(work))
 
 

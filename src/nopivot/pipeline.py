@@ -93,10 +93,17 @@ def _row_sum(row: list[float]) -> float:
 
 
 def compensated_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b - A x with correctly rounded row sums (``_row_sum`` per row)."""
-    products = a * x[None, :]
-    sums = np.array([_row_sum(row.tolist()) for row in products])
-    return b - sums
+    """b - A x with correctly rounded row sums (``_row_sum`` per row); a row of
+    finite inputs with a product past the float range is summed as A_i (x 2^-s)
+    times 2^s, the least s that keeps it finite (terms below 2^(s-1022) lose bits)."""
+    with np.errstate(over="ignore"):
+        products = a * x[None, :]
+        shift = np.zeros(len(a), dtype=int)
+        if not np.isfinite(products).all() and np.isfinite(x).all():
+            for i in np.flatnonzero(~np.isfinite(products).all(axis=1) & np.isfinite(a).all(axis=1)):
+                shift[i] = np.frexp(abs(a[i]).max())[1] + np.frexp(abs(x).max())[1] - 1023
+                products[i] = a[i] * np.ldexp(x, -shift[i])
+        return b - np.ldexp([_row_sum(row.tolist()) for row in products], shift)
 
 
 def _measure(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -104,7 +111,11 @@ def _measure(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, f
     if not np.isfinite(x).all():
         raise NonFiniteSolutionError("solution contains non-finite entries")
     r = compensated_residual(a, x, b)
-    return r, float(np.linalg.norm(r) / np.linalg.norm(b))
+    with np.errstate(over="ignore"):  # a sum of squares past the float range: both norms at scale 1 / max|b|
+        norms = np.linalg.norm(r), np.linalg.norm(b)
+        if np.isinf(norms).any() and b.any():
+            norms = np.linalg.norm(r / abs(b).max()), np.linalg.norm(b / abs(b).max())
+    return r, float(norms[0] / norms[1])
 
 
 def relative_residual(a, x, b) -> float:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nopivot import dense, factor, verify
+from nopivot import dense, experiments, factor, verify
 from nopivot.errors import (
     ShapeError,
     SingularMatrixError,
@@ -110,6 +110,28 @@ def reference_genp_factor(a, zero_pivot_threshold=0.0, monitor=None):
     report = factor.SafetyReport(n=n, monitor=monitor, records=records)
     report.u_growth = float(max(upper.max(), -upper.min()) / max(a.max(), -a.min()))
     return factor.GenpFactorization(lower, upper), report
+
+
+def reference_gepp_factor(a):
+    """``gepp_factor`` before it was blocked: one full-width rank-1 update per pivot."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    work = a.copy()
+    lower = np.eye(n)
+    perm = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(work[k:, k])))
+        if abs(work[p, k]) < factor._GEPP_PIVOT_FLOOR:
+            raise SingularMatrixError(f"no usable pivot in column {k + 1}", step=k + 1)
+        if p != k:
+            work[[k, p], :] = work[[p, k], :]
+            perm[[k, p]] = perm[[p, k]]
+            if k > 0:
+                lower[[k, p], :k] = lower[[p, k], :k]
+        mults = work[k + 1 :, k] / work[k, k]
+        lower[k + 1 :, k] = mults
+        work[k + 1 :, k + 1 :] -= np.outer(mults, work[k, k + 1 :])
+    return factor.GeppFactorization(perm, lower, np.triu(work))
 
 
 def integer_lu_product(seed, n, diagonal):
@@ -275,6 +297,98 @@ class TestBlockedGenp:
         with pytest.raises(ZeroPivotError) as want:
             reference_genp_factor(a, zero_pivot_threshold=1e-3)
         assert (want.value.step, want.value.pivot) == (100, 2.0**-20)
+
+
+class TestBlockedGepp:
+    """The panel-blocked ``gepp_factor`` against the unblocked loop it replaced."""
+
+    @staticmethod
+    def assert_identical(fact, want):
+        assert np.array_equal(fact.permutation, want.permutation)
+        assert np.array_equal(fact.l_factor, want.l_factor)
+        assert np.array_equal(fact.u_factor, want.u_factor)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64])
+    def test_single_panel_bit_identical(self, n):
+        assert n <= factor._PANEL
+        a = RNG(80 + n).standard_normal((n, n))
+        self.assert_identical(factor.gepp_factor(a), reference_gepp_factor(a))
+
+    def test_hard_instance_bit_identical(self):
+        # Trial 0 of a tables-n64 round at the default seed.
+        seed = experiments.instance_seed(experiments.DEFAULT_MASTER_SEED, 64, 0)
+        inst = hard_matrix(seed, 64, experiments.DEFAULT_NULLITY)
+        self.assert_identical(factor.gepp_factor(inst.matrix), reference_gepp_factor(inst.matrix))
+
+    @pytest.mark.parametrize("n", [65, 100, 128, 130, 256])
+    def test_blocked_agrees_to_rounding(self, n):
+        rng = RNG(81 + n)
+        a = rng.standard_normal((n, n))
+        fact = factor.gepp_factor(a)
+        want = reference_gepp_factor(a)
+        perm = fact.permutation
+        assert sorted(perm.tolist()) == list(range(n))
+        assert np.array_equal(perm, want.permutation)
+        assert np.abs(fact.l_factor).max() <= 1.0
+        assert np.array_equal(np.tril(fact.l_factor), fact.l_factor)
+        assert np.array_equal(np.diag(fact.l_factor), np.ones(n))
+        assert np.array_equal(np.triu(fact.u_factor), fact.u_factor)
+        scale = np.linalg.norm(a)
+        assert np.linalg.norm(a[perm] - fact.l_factor @ fact.u_factor) <= 1e-14 * scale
+        assert np.allclose(fact.l_factor, want.l_factor, rtol=0, atol=1e-12)
+        assert np.allclose(fact.u_factor, want.u_factor, rtol=0, atol=1e-12 * scale)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x = factor.lu_solve(fact, b)
+            assert x.shape == b.shape
+            assert np.allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-10)
+            xt = factor.gepp_solve_transpose(fact, b)
+            assert xt.shape == b.shape
+            assert np.allclose(xt, np.linalg.solve(a.T, b), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n, widths", [(64, []), (65, [1]), (256, [192, 128, 64])])
+    def test_one_substitution_per_panel_boundary(self, n, widths, monkeypatch):
+        shapes = []
+        original = factor._substitute
+        monkeypatch.setattr(factor, "_substitute", lambda t, b, **kw: shapes.append(b.shape) or original(t, b, **kw))
+        factor.gepp_factor(RNG(82).standard_normal((n, n)))
+        assert shapes == [(64, w) for w in widths]
+
+    def test_zero_column_past_first_panel(self):
+        # Every update of an exactly zero column leaves it zero, whatever the pivots.
+        a = RNG(83).standard_normal((128, 128))
+        a[:, 99] = 0.0
+        for eliminate in (factor.gepp_factor, reference_gepp_factor):
+            with pytest.raises(SingularMatrixError) as err:
+                eliminate(a)
+            assert err.value.step == 100
+
+    def test_zero_schur_column_past_first_panel(self):
+        # Column 100 of the Schur complement comes out exactly zero from the
+        # first panel's update (no row exchanges: ties keep the first row).
+        n = 128
+        a, _, _ = integer_lu_product(84, n, np.where(np.arange(n) == 99, 0, 1))
+        assert np.abs(a[:, 99]).max() > 0
+        for eliminate in (factor.gepp_factor, reference_gepp_factor):
+            with pytest.raises(SingularMatrixError) as err:
+                eliminate(a)
+            assert err.value.step == 100
+
+    def test_block_elimination_with_wide_pivot_blocks(self, monkeypatch):
+        # Pivot blocks of 128 are factored by the blocked GEPP.
+        n = 256
+        a = spd_like(85, n)
+        b = RNG(86).standard_normal(n)
+        fact, _ = factor.block_genp_factor(a, (128, 128))
+        monkeypatch.setattr(factor, "gepp_factor", reference_gepp_factor)
+        want, _ = factor.block_genp_factor(a, (128, 128))
+        for step, want_step in zip(fact.steps, want.steps):
+            got_pf, want_pf = step.pivot_factorization, want_step.pivot_factorization
+            assert np.array_equal(got_pf.permutation, want_pf.permutation)
+            assert np.allclose(got_pf.u_factor, want_pf.u_factor, rtol=0, atol=1e-12 * np.abs(want_pf.u_factor).max())
+            assert np.allclose(step.row_mult, want_step.row_mult, rtol=1e-9, atol=1e-12)
+        x = fact.solve(b)
+        assert np.allclose(x, want.solve(b), rtol=1e-9, atol=0)
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-9, atol=0)
 
 
 class TestGepp:

@@ -53,6 +53,27 @@ class TestResidualMeasurement:
         r = pipeline.compensated_residual(big, np.array([1e308, 1e308]), np.zeros(2))
         assert r.tolist() == [-math.inf, math.inf]
 
+    def test_overflowing_products_rescaled(self):
+        # 1e200 * 1e200 is past the float range, but the exact residual is 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pipeline.relative_residual([[1e200, -1e200], [0, 1]], [1e200, 1e200], [0, 1e200]) == 0.0
+            a = np.array([[1e200, -1e200, 3.0], [0.5, 0.25, 2.0**-40], [1.0, 1.0, 0.1], [2.0**600, 2.0**600, 0.0]])
+            x = np.array([1e200, 1e200, 1.0])
+            b = np.array([1.0, 0.3, 1e200, 0.0])
+            r = pipeline.compensated_residual(a, x, b)
+        assert r[0] == -2.0
+        assert r[3] == -math.inf  # 2^601 * 1e200 is past the float range
+        # Rows whose products are finite keep their bits.
+        for i in (1, 2):
+            assert r[i] == b[i] - math.fsum((a[i] * x).tolist())
+
+    def test_overflowing_solution_residual_ratio(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pipeline.relative_residual([[1e200, 0], [0, 1]], [1e200, 1e200], [0, 1e200]) == math.inf
+            assert pipeline.relative_residual([[1e100, 0], [0, 1]], [1e100, 1e100], [0, 1e100]) == 1e100
+
     def test_relative_residual_scale(self):
         a = strongly_nonsingular(1, 8)
         x = RNG(2).standard_normal(8)
