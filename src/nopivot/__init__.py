@@ -30,7 +30,6 @@ from .errors import (
 from .experiments import DEFAULT_MASTER_SEED, ExperimentConfig, run_residual_experiment
 from .factor import (
     BlockFactorization,
-    BlockSchedule,
     GenpFactorization,
     GeppFactorization,
     SafetyBounds,
@@ -43,7 +42,7 @@ from .factor import (
     safety_check,
     schur_complement,
 )
-from .instances import HardInstance, hard_matrix, instance_inverse_norm_stats
+from .instances import HardInstance, hard_matrix
 from .pipeline import (
     PreconditionPlan,
     SolveOutcome,

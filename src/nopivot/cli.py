@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import dense, experiments, instances, pipeline, verify
-from .errors import NopivotError
+from .errors import NopivotError, ShapeError
 from .randgen import FiniteSet, Seed, parse_seed
 from .reports import render_report
 
@@ -149,7 +149,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     a = dense.read_matrix(args.matrix)
-    b = dense.read_matrix(args.rhs)[:, 0]
+    b = dense.read_matrix(args.rhs)
+    if b.shape != (a.shape[0], 1):
+        raise ShapeError(f"right-hand side must be {a.shape[0]}-by-1, got {b.shape[0]}-by-{b.shape[1]}")
+    b = b[:, 0]
     plan = pipeline.PreconditionPlan(left=args.left, right=args.right, refinement_steps=args.refine)
     outcome = pipeline.preconditioned_solve(a, b, plan, Seed(args.seed).derive("solve"))
     if args.json:

@@ -2,8 +2,9 @@
 
 Per-trial instances are derived from (master seed, dimension, trial index)
 only, so elimination variants run on identical systems and the multiplier is
-the single varying factor.  Trials may run in parallel; residuals are
-collected and sorted before aggregation, so reports are order independent.
+the single varying factor.  Trials may run in parallel; results come back in
+trial order either way, and aggregation sorts its values, so reports are
+order independent.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class ExperimentConfig:
                 "left": self.plan.left,
                 "right": self.plan.right,
                 "refinement_steps": self.plan.refinement_steps,
-                "zero_pivot_threshold": self.plan.zero_pivot_threshold,
+                "zero_pivot_threshold": 0.0,  # GENP aborts only on an exactly zero pivot
             }
         return {
             "dims": list(self.dims),
@@ -73,20 +74,20 @@ def multiplier_seed(master: int, n: int, trial: int) -> Seed:
     return Seed(master).derive("multiplier", n, trial)
 
 
-def _run_trial(args) -> tuple[int, list[float] | None]:
+def _run_trial(args) -> list[float] | None:
     master, n, trial, method, plan, nullity = args
     try:
         inst = instances.hard_matrix(instance_seed(master, n, trial), n, nullity)
     except NopivotError:
-        return trial, None
+        return None
     if method == "gepp":
-        return trial, [pipeline.relative_residual(inst.matrix, inst.gepp_solution, inst.rhs)]
+        return [pipeline.relative_residual(inst.matrix, inst.gepp_solution, inst.rhs)]
     if method == "genp":
         plan = pipeline.PreconditionPlan(left=None, right=None)
     outcome = pipeline.preconditioned_solve(inst.matrix, inst.rhs, plan, multiplier_seed(master, n, trial))
     if outcome.failure is not None and not outcome.residual_history:
-        return trial, None
-    return trial, list(outcome.residual_history)
+        return None
+    return list(outcome.residual_history)
 
 
 def run_residual_experiment(config: ExperimentConfig, workers: int = 1) -> TableReport:
@@ -103,11 +104,9 @@ def run_residual_experiment(config: ExperimentConfig, workers: int = 1) -> Table
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_trial, jobs))
+                histories = list(pool.map(_run_trial, jobs))
         else:
-            results = [_run_trial(job) for job in jobs]
-        results.sort(key=lambda item: item[0])
-        histories = [hist for _, hist in results]
+            histories = [_run_trial(job) for job in jobs]
         for level in range(levels):
             values = [
                 hist[level]

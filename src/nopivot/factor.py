@@ -2,7 +2,7 @@
 
 Three factorizations:
 
-* ``genp_factor``     -- no pivoting; aborts on a pivot at/below threshold.
+* ``genp_factor``     -- no pivoting; aborts only on an exactly zero pivot.
 * ``gepp_factor``     -- partial pivoting baseline.
 * ``block_genp_factor`` -- recursive block elimination driven by a pivot-size
   schedule; stores the block factors implicitly (in-place Schur updates) and
@@ -71,21 +71,6 @@ class GeppFactorization:
     u_factor: np.ndarray
 
 
-@dataclass(frozen=True)
-class BlockSchedule:
-    """Pivot-block sizes of a block elimination; they must sum to n."""
-
-    pivot_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.pivot_sizes) == 0 or any(d < 1 for d in self.pivot_sizes):
-            raise ShapeError("schedule needs positive pivot sizes")
-
-    @property
-    def total(self) -> int:
-        return sum(self.pivot_sizes)
-
-
 @dataclass
 class PivotRecord:
     """Per-step monitor data: pivot (block) norms and the trailing complement."""
@@ -141,7 +126,6 @@ class BlockFactorization:
     """
 
     n: int
-    schedule: tuple[int, ...]
     steps: list[BlockStep]
     schur_complements: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -235,18 +219,16 @@ def _eliminate(work: np.ndarray, lower: np.ndarray, k: int, width: int) -> None:
         work[stop:, stop:] -= lower[stop:, lo:stop] @ work[lo:stop, stop:]
 
 
-def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str | None = None):
+def genp_factor(a, *, monitor: str | None = None):
     """LU factorization with no pivoting.
 
     Continues through arbitrarily small (nonzero) pivots so that instability
     shows up in the solution rather than as an early abort; every pivot
     magnitude, the final growth max|U| / max|A| and, under
     ``monitor="spectral"``, every trailing-complement norm land in the
-    safety report.  Raises ZeroPivotError when |pivot| <= zero_pivot_threshold.
+    safety report.  Raises ZeroPivotError on an exactly zero pivot.
     """
     a = _require_square(a)
-    if zero_pivot_threshold < 0:
-        raise ValueError("zero_pivot_threshold must be nonnegative")
     report = _start_report(a, monitor)
     n = a.shape[0]
     work = a.copy()
@@ -254,7 +236,7 @@ def genp_factor(a, zero_pivot_threshold: float = 0.0, monitor: str | None = None
     width = n if monitor else _PANEL
     for k in range(n):
         pivot = work[k, k]
-        if abs(pivot) <= zero_pivot_threshold:
+        if pivot == 0.0:
             raise ZeroPivotError(step=k + 1, pivot=float(pivot))
         comp_norm = None
         if k < n - 1:
@@ -394,6 +376,7 @@ def block_genp_factor(
 ):
     """Recursive block elimination following a pivot-size schedule.
 
+    ``schedule`` is a sequence of positive pivot-block sizes summing to n.
     Each step factors the current leading pivot block with local partial
     pivoting, forms the multipliers B^{-1}C and DB^{-1}, and updates the
     trailing matrix to the Schur complement in place.  With
@@ -401,14 +384,10 @@ def block_genp_factor(
     copied out (handy for schedule-invariance checks, costly at scale).
     """
     a = _require_square(a)
-    if isinstance(schedule, BlockSchedule):
-        sizes = schedule.pivot_sizes
-    else:
-        sizes = tuple(int(d) for d in schedule)
-        BlockSchedule(sizes)  # validation
+    sizes = tuple(int(d) for d in schedule)
     n = a.shape[0]
-    if sum(sizes) != n:
-        raise ShapeError(f"schedule {sizes} does not sum to n={n}")
+    if not sizes or min(sizes) < 1 or sum(sizes) != n:
+        raise ShapeError(f"schedule {sizes} needs positive pivot sizes summing to n={n}")
     report = _start_report(a, monitor)
     work = a.copy()
     steps: list[BlockStep] = []
@@ -447,29 +426,7 @@ def block_genp_factor(
         )
         steps.append(BlockStep(offset, d, pivot, bfact, row_mult, col_mult))
         offset = hi
-    return BlockFactorization(n, sizes, steps, complements), report
-
-
-@dataclass
-class SafetyCheckResult:
-    """Outcome of verifying a SafetyReport against the elimination bounds.
-
-    ``verdict`` is None when the input is not strongly nonsingular (the
-    bounds do not apply); otherwise True iff no recorded norm exceeded its
-    bound and the growth factor stayed under (N_+ N_-)^(log2 n).
-    """
-
-    strongly_nonsingular: bool
-    verdict: bool | None
-    input_norm: float
-    max_inverse_norm: float | None
-    pivot_bound: float | None
-    growth_factor: float
-    growth_bound: float | None
-    gepp_growth_bound: float
-    violations: list[tuple[int, str, float, float]]
-    singular_block: int | None
-    margin: float | None = None
+    return BlockFactorization(n, steps, complements), report
 
 
 def _leading_block_sizes(n: int) -> list[int]:
@@ -500,6 +457,25 @@ class SafetyBounds:
     @property
     def strongly_nonsingular(self) -> bool:
         return self.singular_block is None
+
+
+@dataclass
+class SafetyCheckResult:
+    """Outcome of verifying a SafetyReport against the elimination bounds.
+
+    ``verdict`` is None when ``bounds`` says the input is not strongly
+    nonsingular (the bounds do not apply, and the bound fields stay None);
+    otherwise True iff no recorded norm exceeded its bound and the growth
+    factor stayed under (N_+ N_-)^(log2 n).
+    """
+
+    bounds: SafetyBounds
+    verdict: bool | None
+    pivot_bound: float | None
+    growth_factor: float
+    growth_bound: float | None
+    violations: list[tuple[int, str, float, float]]
+    margin: float | None
 
 
 def safety_bounds(a) -> SafetyBounds:
@@ -536,47 +512,24 @@ def safety_check(bounds: SafetyBounds, report: SafetyReport) -> SafetyCheckResul
     for rec in report.records:
         if rec.complement_norm is not None and norm > 0:
             growth = max(growth, rec.complement_norm / norm)
-    gepp_bound = float(2.0 ** (n - 1))
-    if not bounds.strongly_nonsingular:
-        return SafetyCheckResult(
-            strongly_nonsingular=False,
-            verdict=None,
-            input_norm=norm,
-            max_inverse_norm=None,
-            pivot_bound=None,
-            growth_factor=growth,
-            growth_bound=None,
-            gepp_growth_bound=gepp_bound,
-            violations=[],
-            singular_block=bounds.singular_block,
-        )
-    n_plus = norm + n_minus * norm * norm
-    slack = 1.0 + _SAFETY_SLACK
+    verdict = n_plus = growth_bound = worst = None
     violations: list[tuple[int, str, float, float]] = []
-    worst = 0.0
-    for rec in report.records:
-        checks = [("pivot norm", rec.pivot_norm, n_plus), ("pivot inverse norm", rec.pivot_inverse_norm, n_minus)]
-        if rec.complement_norm is not None:
-            checks.append(("complement norm", rec.complement_norm, n_plus))
-        if rec.complement_inverse_norm is not None:
-            checks.append(("complement inverse norm", rec.complement_inverse_norm, n_minus))
-        for label, value, bound in checks:
-            worst = max(worst, value / bound)
-            if value > bound * slack:
-                violations.append((rec.step, label, value, bound))
-    growth_bound = float((n_plus * n_minus) ** np.log2(n)) if n > 1 else 1.0
-    if growth > growth_bound * slack:
-        violations.append((0, "growth factor", growth, growth_bound))
-    return SafetyCheckResult(
-        strongly_nonsingular=True,
-        verdict=not violations,
-        input_norm=norm,
-        max_inverse_norm=n_minus,
-        pivot_bound=n_plus,
-        growth_factor=growth,
-        growth_bound=growth_bound,
-        gepp_growth_bound=gepp_bound,
-        violations=violations,
-        singular_block=None,
-        margin=worst,
-    )
+    if bounds.strongly_nonsingular:
+        n_plus = norm + n_minus * norm * norm
+        slack = 1.0 + _SAFETY_SLACK
+        worst = 0.0
+        for rec in report.records:
+            checks = [("pivot norm", rec.pivot_norm, n_plus), ("pivot inverse norm", rec.pivot_inverse_norm, n_minus)]
+            if rec.complement_norm is not None:
+                checks.append(("complement norm", rec.complement_norm, n_plus))
+            if rec.complement_inverse_norm is not None:
+                checks.append(("complement inverse norm", rec.complement_inverse_norm, n_minus))
+            for label, value, bound in checks:
+                worst = max(worst, value / bound)
+                if value > bound * slack:
+                    violations.append((rec.step, label, value, bound))
+        growth_bound = float((n_plus * n_minus) ** np.log2(n)) if n > 1 else 1.0
+        if growth > growth_bound * slack:
+            violations.append((0, "growth factor", growth, growth_bound))
+        verdict = not violations
+    return SafetyCheckResult(bounds, verdict, n_plus, growth, growth_bound, violations, worst)

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import dense, factor, randgen
 from .errors import GenerationError, ShapeError
-from .reports import StatsRow, aggregate_stats
 from .transforms import is_power_of_two
 
 DEFAULT_NULLITY = 4
@@ -144,16 +143,6 @@ def hard_matrix(seed: randgen.Seed, n: int, h: int = DEFAULT_NULLITY) -> HardIns
         _CACHE.put(key, inst)
         return inst
     raise GenerationError(f"could not generate a nonsingular hard instance in {_MAX_ATTEMPTS} attempts")
-
-
-def instance_inverse_norm_stats(seeds, n: int) -> StatsRow:
-    """Min/max/mean/std of ||A^{-1}|| over instances generated from ``seeds``."""
-    seeds = list(seeds)
-    if len(seeds) < 10:
-        raise ValueError(f"need at least 10 seeds, got {len(seeds)}")
-    norms = [hard_matrix(s, n).block_norms["inverse_norm"] for s in seeds]
-    lo, hi, mean, std = aggregate_stats(norms)
-    return StatsRow(dimension=n, iterations=0, min=lo, max=hi, mean=mean, std=std)
 
 
 # --- instance files ----------------------------------------------------------

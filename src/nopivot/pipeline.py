@@ -26,17 +26,16 @@ MATERIALIZE_BELOW = 128
 
 @dataclass(frozen=True)
 class PreconditionPlan:
-    """Which multipliers to draw on each side, plus solve options.
+    """Which multipliers to draw on each side, plus refinement steps.
 
     None means no multiplier on that side; the string "none" is accepted as
-    an alias and stored as None.
+    an alias and stored as None.  Finite-set multipliers draw from
+    ``DEFAULT_FINITE_SET``.
     """
 
     left: str | None = "gaussian"
     right: str | None = "gaussian"
     refinement_steps: int = 0
-    zero_pivot_threshold: float = 0.0
-    finite_set: randgen.FiniteSet = DEFAULT_FINITE_SET
 
     def __post_init__(self):
         for side in ("left", "right"):
@@ -47,8 +46,6 @@ class PreconditionPlan:
                 raise ValueError(f"unknown {side} multiplier kind {kind!r}")
         if self.refinement_steps < 0:
             raise ValueError("refinement_steps must be nonnegative")
-        if self.zero_pivot_threshold < 0:
-            raise ValueError("zero_pivot_threshold must be nonnegative")
 
 
 @dataclass
@@ -107,13 +104,16 @@ def compensated_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 def _measure(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """(b - A x, ||b - A x|| / ||b||) for validated ``a`` and ``b``."""
+    """(b - A x, ||b - A x|| / ||b||) for validated ``a`` and ``b``; at b = 0
+    the ratio is 0 when r = 0 and infinite otherwise."""
     if not np.isfinite(x).all():
         raise NonFiniteSolutionError("solution contains non-finite entries")
     r = compensated_residual(a, x, b)
-    with np.errstate(over="ignore"):  # a sum of squares past the float range: both norms at scale 1 / max|b|
+    if not b.any():
+        return r, math.inf if r.any() else 0.0
+    with np.errstate(over="ignore"):  # a sum of squares past or below the float range: both norms at scale 1 / max|b|
         norms = np.linalg.norm(r), np.linalg.norm(b)
-        if np.isinf(norms).any() and b.any():
+        if np.isinf(norms).any() or norms[1] == 0.0:
             norms = np.linalg.norm(r / abs(b).max()), np.linalg.norm(b / abs(b).max())
     return r, float(norms[0] / norms[1])
 
@@ -126,14 +126,14 @@ def relative_residual(a, x, b) -> float:
     return _measure(a, x, b)[1]
 
 
-def build_multiplier(kind: str | None, n: int, seed: randgen.Seed, finite_set=DEFAULT_FINITE_SET):
+def build_multiplier(kind: str | None, n: int, seed: randgen.Seed):
     """Draw one multiplier; None means the identity (no multiplication)."""
     if kind is None:
         return None
     if kind == "gaussian":
         return randgen.gaussian_matrix(seed, n, n)
     if kind == "finite-set":
-        return randgen.finite_set_matrix(seed, n, n, finite_set)
+        return randgen.finite_set_matrix(seed, n, n, DEFAULT_FINITE_SET)
     if kind == "circulant":
         op = randgen.gaussian_circulant(seed, n)
     elif kind == "toeplitz":
@@ -178,8 +178,8 @@ def preconditioned_solve(a, b, plan: PreconditionPlan, seed: randgen.Seed) -> So
     if b.shape[0] != n:
         raise ShapeError(f"right-hand side length {b.shape[0]} does not match n={n}")
 
-    left = build_multiplier(plan.left, n, seed.derive("left-multiplier"), plan.finite_set)
-    right = build_multiplier(plan.right, n, seed.derive("right-multiplier"), plan.finite_set)
+    left = build_multiplier(plan.left, n, seed.derive("left-multiplier"))
+    right = build_multiplier(plan.right, n, seed.derive("right-multiplier"))
 
     preconditioned = apply_multiplier(left, a, "left")
     preconditioned = apply_multiplier(right, preconditioned, "right")
@@ -189,7 +189,7 @@ def preconditioned_solve(a, b, plan: PreconditionPlan, seed: randgen.Seed) -> So
     # a structured failure by _measure's finiteness check, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            fact, safety = factor.genp_factor(preconditioned, plan.zero_pivot_threshold)
+            fact, safety = factor.genp_factor(preconditioned)
             y = factor.lu_solve(fact, rhs)
             x = apply_multiplier(right, y, "left")
             r, residual = _measure(a, x, b)

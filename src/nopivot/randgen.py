@@ -125,20 +125,9 @@ def random_orthonormal(seed: Seed, k: int) -> np.ndarray:
     return dense.householder_qr(g).q_factor
 
 
-def finite_set_matrix(seed: Seed, m: int, n: int, delta: FiniteSet, kind: str = "dense") -> np.ndarray:
-    """Integer-valued matrix with entries i.i.d. uniform over ``delta``.
-
-    ``kind='toeplitz'`` draws m+n-1 generating coefficients instead and
-    returns the materialized Toeplitz matrix.
-    """
+def finite_set_matrix(seed: Seed, m: int, n: int, delta: FiniteSet) -> np.ndarray:
+    """Integer-valued matrix with entries i.i.d. uniform over ``delta``."""
     if m < 1 or n < 1:
         raise ShapeError(f"dimensions must be positive, got {(m, n)}")
-    if kind not in ("dense", "toeplitz"):
-        raise ValueError(f"kind must be 'dense' or 'toeplitz', got {kind!r}")
     values = np.asarray(delta.values, dtype=float)
-    rng = seed.rng()
-    if kind == "dense":
-        return values[rng.integers(0, delta.size, size=(m, n))]
-    coeffs = values[rng.integers(0, delta.size, size=m + n - 1)]
-    diff = np.subtract.outer(np.arange(m), np.arange(n))
-    return coeffs[diff + (n - 1)]
+    return values[seed.rng().integers(0, delta.size, size=(m, n))]

@@ -182,15 +182,11 @@ class VerificationReport:
         return out
 
     def to_dict(self) -> dict:
-        def encode(check):
-            data = dict(check.__dict__)
-            return data
-
         return {
             "title": self.title,
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [encode(c) for c in self.checks],
+            "checks": [dict(c.__dict__) for c in self.checks],
             "extras": self.extras,
         }
 

@@ -220,6 +220,26 @@ class TestGenerateAndSolve:
         safety = json.loads(capsys.readouterr().out)["safety"]
         assert safety == {"u_growth": 0.5, "min_pivot": 1.0, "max_pivot": 2.0}
 
+    def test_solve_rhs_must_be_one_column(self, tmp_path, capsys):
+        # An instance file holds the n-by-n matrix first: read as a rhs it is not n-by-1.
+        assert cli.main(["--out", str(tmp_path), "generate", "--n", "8", "--h", "2"]) == 0
+        path = capsys.readouterr().out.strip()
+        code = cli.main(["solve", "--matrix", path, "--rhs", path, "--left", "none", "--right", "none"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: right-hand side must be 8-by-1, got 8-by-8\n"
+
+    def test_solve_zero_rhs(self, tmp_path, capsys):
+        dense.write_matrix(np.array([[2.0, 1.0], [1.0, 1.0]]), tmp_path / "a.txt")
+        dense.write_matrix(np.zeros((2, 1)), tmp_path / "b.txt")
+        argv = ["solve", "--matrix", str(tmp_path / "a.txt"), "--rhs", str(tmp_path / "b.txt")]
+        assert cli.main(argv) == 0
+        assert "relative residual: 0.000000e+00" in capsys.readouterr().out
+        assert cli.main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["relative_residual"], payload["failure"]) == (0.0, None)
+
     def test_missing_file_exits_two(self, capsys):
         code = cli.main(["solve", "--matrix", "/nonexistent.txt", "--rhs", "/nonexistent.txt"])
         assert code == 2

@@ -49,7 +49,6 @@ def reference_safety_check(a, report):
         if rec.complement_norm is not None and input_norm > 0:
             growth_factor = max(growth_factor, rec.complement_norm / input_norm)
     norm = dense.spectral_norm(a)
-    gepp_bound = float(2.0 ** (n - 1))
     sizes = list(range(1, n + 1))
     if n > 128:
         sizes = [2**p for p in range(n.bit_length()) if 2**p < n] + [n]
@@ -58,9 +57,8 @@ def reference_safety_check(a, report):
         smin, smax = factor._sigma_extremes(a[:j, :j])
         if smin <= 1e-13 * smax:
             return factor.SafetyCheckResult(
-                strongly_nonsingular=False, verdict=None, input_norm=norm, max_inverse_norm=None,
-                pivot_bound=None, growth_factor=growth_factor, growth_bound=None,
-                gepp_growth_bound=gepp_bound, violations=[], singular_block=j,
+                bounds=factor.SafetyBounds(n, norm, None, j), verdict=None,
+                pivot_bound=None, growth_factor=growth_factor, growth_bound=None, violations=[], margin=None,
             )
         n_minus = max(n_minus, 1.0 / smin)
     n_plus = norm + n_minus * norm * norm
@@ -81,13 +79,13 @@ def reference_safety_check(a, report):
     if growth_factor > growth_bound * slack:
         violations.append((0, "growth factor", growth_factor, growth_bound))
     return factor.SafetyCheckResult(
-        strongly_nonsingular=True, verdict=not violations, input_norm=norm, max_inverse_norm=n_minus,
+        bounds=factor.SafetyBounds(n, norm, n_minus, None), verdict=not violations,
         pivot_bound=n_plus, growth_factor=growth_factor, growth_bound=growth_bound,
-        gepp_growth_bound=gepp_bound, violations=violations, singular_block=None, margin=worst,
+        violations=violations, margin=worst,
     )
 
 
-def reference_genp_factor(a, zero_pivot_threshold=0.0, monitor=None):
+def reference_genp_factor(a, monitor=None):
     """``genp_factor`` before it was blocked: one full-width rank-1 update per pivot."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -96,7 +94,7 @@ def reference_genp_factor(a, zero_pivot_threshold=0.0, monitor=None):
     records = []
     for k in range(n):
         pivot = work[k, k]
-        if abs(pivot) <= zero_pivot_threshold:
+        if abs(pivot) <= 0.0:
             raise ZeroPivotError(step=k + 1, pivot=float(pivot))
         comp_norm = None
         if k < n - 1:
@@ -155,14 +153,22 @@ class TestGenp:
 
     def test_zero_pivot_failure(self):
         with pytest.raises(ZeroPivotError) as err:
-            factor.genp_factor([[0.0, 1.0], [1.0, 0.0]], zero_pivot_threshold=0.0)
+            factor.genp_factor([[0.0, 1.0], [1.0, 0.0]])
         assert err.value.step == 1
 
     def test_threshold_semantics(self):
-        a = np.array([[1e-8, 1.0], [1.0, 1.0]])
-        factor.genp_factor(a, zero_pivot_threshold=0.0)  # tiny pivot allowed
-        with pytest.raises(ZeroPivotError):
-            factor.genp_factor(a, zero_pivot_threshold=1e-6)
+        # Only an exactly zero pivot aborts: -0.0 does, the least subnormal does not.
+        for tiny in (1e-8, 5e-324):
+            with np.errstate(over="ignore"):
+                _, report = factor.genp_factor([[tiny, 1.0], [1.0, 1.0]])
+            assert report.pivot_magnitudes[0] == tiny
+        with pytest.raises(ZeroPivotError) as err:
+            factor.genp_factor([[-0.0, 1.0], [1.0, 1.0]])
+        assert err.value.step == 1
+
+    def test_threshold_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            factor.genp_factor(np.eye(2), 1e-3)
 
     def test_reconstruction(self):
         a = RNG(0).standard_normal((16, 16)) + 4 * np.eye(16)
@@ -287,16 +293,17 @@ class TestBlockedGenp:
         assert report.pivot_magnitudes.tolist() == [1.0] * n
 
     def test_threshold_abort_past_first_panel(self):
+        # Runs through the exact 2^-20 pivot at step 50 and aborts on the exact zero at step 100.
         n = 128
-        diagonal = np.where(np.arange(n) == 99, 2.0**-20, 1.0)
+        diagonal = np.where(np.arange(n) == 49, 2.0**-20, 1.0)
+        diagonal[99] = 0.0
         a, _, _ = integer_lu_product(77, n, diagonal)
-        factor.genp_factor(a)  # runs through the small pivot at threshold 0
         with pytest.raises(ZeroPivotError) as err:
-            factor.genp_factor(a, zero_pivot_threshold=1e-3)
-        assert (err.value.step, err.value.pivot) == (100, 2.0**-20)
+            factor.genp_factor(a)
+        assert (err.value.step, err.value.pivot) == (100, 0.0)
         with pytest.raises(ZeroPivotError) as want:
-            reference_genp_factor(a, zero_pivot_threshold=1e-3)
-        assert (want.value.step, want.value.pivot) == (100, 2.0**-20)
+            reference_genp_factor(a)
+        assert (want.value.step, want.value.pivot) == (100, 0.0)
 
 
 class TestBlockedGepp:
@@ -578,10 +585,9 @@ class TestBlockFactorization:
         assert err.value.step == 1
 
     def test_schedule_validation(self):
-        with pytest.raises(ShapeError):
-            factor.block_genp_factor(np.eye(4), (3, 3))
-        with pytest.raises(ShapeError):
-            factor.BlockSchedule((0, 4))
+        for schedule in [(), (0, 4), (-1, 5), (3, 3)]:
+            with pytest.raises(ShapeError):
+                factor.block_genp_factor(np.eye(4), schedule)
 
     def test_block_inversion_identity(self):
         # Inverting the three block factors reproduces the dense inverse.
@@ -639,10 +645,10 @@ class TestSafety:
         a = np.eye(4)
         _, report = factor.genp_factor(a, monitor="spectral")
         result = factor.safety_check(factor.safety_bounds(a), report)
-        assert result.strongly_nonsingular
+        assert result.bounds.strongly_nonsingular
         assert result.verdict is True
-        assert result.input_norm == pytest.approx(1.0)
-        assert result.max_inverse_norm == pytest.approx(1.0)
+        assert result.bounds.input_norm == pytest.approx(1.0)
+        assert result.bounds.max_inverse_norm == pytest.approx(1.0)
         assert result.pivot_bound == pytest.approx(2.0)
         assert np.allclose(report.pivot_magnitudes, 1.0)
 
@@ -652,7 +658,6 @@ class TestSafety:
         result = factor.safety_check(factor.safety_bounds(a), report)
         assert result.verdict is True
         assert result.growth_factor <= result.growth_bound
-        assert result.gepp_growth_bound == 2.0 ** 15
 
     def test_block_report_passes(self):
         a = spd_like(23, 16)
@@ -667,16 +672,16 @@ class TestSafety:
         bounds = factor.safety_bounds(inst.matrix)
         assert not bounds.strongly_nonsingular and bounds.max_inverse_norm is None
         result = factor.safety_check(bounds, report)
-        assert not result.strongly_nonsingular
+        assert result.bounds is bounds
         assert result.verdict is None
-        assert result.singular_block is not None
-        assert 28 < result.singular_block <= 32
+        assert (result.pivot_bound, result.growth_bound, result.violations, result.margin) == (None, None, [], None)
+        assert 28 < bounds.singular_block <= 32
 
     def test_norm_product_at_least_one(self):
         a = spd_like(24, 8)
         _, report = factor.genp_factor(a, monitor="spectral")
         result = factor.safety_check(factor.safety_bounds(a), report)
-        assert result.max_inverse_norm * result.input_norm >= 1.0 - 1e-10
+        assert result.bounds.max_inverse_norm * result.bounds.input_norm >= 1.0 - 1e-10
 
 
 class TestMonitor:
@@ -724,8 +729,8 @@ class TestMonitor:
         inst = hard_matrix(Seed(100).derive("i", 2), 64, 4)
         _, report = factor.genp_factor(inst.matrix)
         result = factor.safety_check(factor.safety_bounds(inst.matrix), report)
-        assert result.strongly_nonsingular is False
-        assert result.input_norm == dense.spectral_norm(inst.matrix)
+        assert result.bounds.strongly_nonsingular is False
+        assert result.bounds.input_norm == dense.spectral_norm(inst.matrix)
 
 
 class TestSafetySplit:

@@ -137,16 +137,6 @@ class TestInverseNorms:
             full = factor.inverse_norm_estimate(with_defect.matrix)
             assert 1e0 <= full <= 1e5
 
-    def test_stats_row(self):
-        row = instances.instance_inverse_norm_stats([Seed(8).derive(t) for t in range(10)], 16)
-        assert row.dimension == 16
-        assert row.min <= row.mean <= row.max
-        assert row.std >= 0
-
-    def test_stats_needs_ten_seeds(self):
-        with pytest.raises(ValueError):
-            instances.instance_inverse_norm_stats([Seed(0)], 16)
-
 
 class TestEliminationContrast:
     def test_gepp_solves_genp_fails(self):

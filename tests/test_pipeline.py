@@ -8,7 +8,7 @@ import pytest
 from nopivot import factor, pipeline
 from nopivot.errors import ShapeError
 from nopivot.instances import hard_matrix
-from nopivot.randgen import FiniteSet, Seed, gaussian_matrix
+from nopivot.randgen import Seed, gaussian_matrix
 
 RNG = np.random.default_rng
 
@@ -73,6 +73,25 @@ class TestResidualMeasurement:
             warnings.simplefilter("error")
             assert pipeline.relative_residual([[1e200, 0], [0, 1]], [1e200, 1e200], [0, 1e200]) == math.inf
             assert pipeline.relative_residual([[1e100, 0], [0, 1]], [1e100, 1e100], [0, 1e100]) == 1e100
+
+    def test_zero_rhs_ratio(self):
+        # ||r|| / ||b|| at b = 0: 0/0 reads as an exact solve, ||r||/0 as infinite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pipeline.relative_residual(np.eye(2), np.zeros(2), np.zeros(2)) == 0.0
+            assert pipeline.relative_residual(np.eye(2), [0.0, 1e-300], np.zeros(2)) == math.inf
+            # ||b|| underflows to 0 for b != 0: measured at scale 1 / max|b| instead.
+            assert pipeline.relative_residual(np.eye(2), [0.0, 5e-301], [0.0, 1e-300]) == 0.5
+
+    def test_zero_rhs_solve(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pipeline.preconditioned_solve(
+                strongly_nonsingular(3, 8), np.zeros(8), pipeline.PreconditionPlan(), Seed(3)
+            )
+        assert out.failure is None
+        assert out.relative_residual == 0.0
+        assert not out.solution.any()
 
     def test_relative_residual_scale(self):
         a = strongly_nonsingular(1, 8)
@@ -288,5 +307,5 @@ class TestPlanValidation:
         assert isinstance(circ, np.ndarray)  # materialized below the cutoff
         big = pipeline.build_multiplier("circulant", 128, Seed(0))
         assert not isinstance(big, np.ndarray)
-        ints = pipeline.build_multiplier("finite-set", 8, Seed(0), FiniteSet((1, 2)))
-        assert set(np.unique(ints)) <= {1.0, 2.0}
+        ints = pipeline.build_multiplier("finite-set", 8, Seed(0))
+        assert set(np.unique(ints)) <= set(pipeline.DEFAULT_FINITE_SET.values)

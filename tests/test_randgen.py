@@ -189,14 +189,6 @@ class TestFiniteSetMatrix:
         for value in delta.values:
             assert abs(np.mean(draws == value) - p) <= limit
 
-    def test_toeplitz_kind(self):
-        delta = FiniteSet(tuple(range(10)))
-        m = randgen.finite_set_matrix(Seed(21), 5, 5, delta, kind="toeplitz")
-        assert np.array_equal(m, np.round(m))
-        for i in range(1, 5):
-            for j in range(1, 5):
-                assert m[i, j] == m[i - 1, j - 1]
-
     def test_finite_set_validation(self):
         with pytest.raises(ValueError):
             FiniteSet(())
