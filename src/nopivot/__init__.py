@@ -60,12 +60,7 @@ from .randgen import (
     random_orthonormal,
 )
 from .reports import StatsRow, TableReport
-from .transforms import (
-    CirculantOperator,
-    HankelOperator,
-    ToeplitzOperator,
-    fft,
-)
+from .transforms import CirculantOperator, HankelOperator, ToeplitzOperator
 
 __version__ = "0.1.0"
 

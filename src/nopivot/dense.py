@@ -294,7 +294,7 @@ def parse_matrix(text: str) -> np.ndarray:
     if len(header) != 2:
         raise ShapeError(f"expected 'm n' header, got {lines[0]!r}")
     m, n = int(header[0]), int(header[1])
-    if len(lines) - 1 < m:
+    if len(lines) - 1 != m:
         raise ShapeError(f"expected {m} data rows, got {len(lines) - 1}")
     rows = []
     for ln in lines[1 : 1 + m]:

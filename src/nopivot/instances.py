@@ -172,11 +172,13 @@ def read_instance(path) -> HardInstance:
         lines = lines[1:]
     m, n = (int(tok) for tok in lines[0].split())
     matrix = dense.parse_matrix("\n".join(lines[: 1 + m]))
-    rhs = dense.parse_matrix("\n".join(lines[1 + m :]))[:, 0]
+    rhs = dense.parse_matrix("\n".join(lines[1 + m :]))
+    if rhs.shape != (m, 1):
+        raise ShapeError(f"right-hand side must be {m}-by-1, got {rhs.shape[0]}-by-{rhs.shape[1]}")
     master, _, stream = meta.get("seed", "0/0").partition("/")
     return HardInstance(
         matrix=matrix,
-        rhs=rhs,
+        rhs=rhs[:, 0],
         n=int(meta.get("n", n)),
         h=int(meta.get("h", 0)),
         seed=randgen.Seed(int(master), int(stream or 0)),

@@ -5,7 +5,8 @@ multiply/add events instead of the O(n^2 k) of the dense product; Toeplitz
 and Hankel multiplication reduce to the circulant case by embedding into a
 circulant of the next power-of-two size.  A module-level counter tracks
 multiply and add events (complex operations count as single events) so the
-asymptotic saving can be asserted rather than assumed.
+asymptotic saving can be asserted rather than assumed.  The solve multiplies
+by ``materialize()`` instead: a BLAS GEMM with it is faster in wall time.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ def next_power_of_two(n: int) -> int:
     while p < n:
         p *= 2
     return p
-
-
-def dense_matmul_op_count(m: int, n: int, k: int) -> int:
-    """Multiply/add events of the classic triple loop for (m,n) @ (n,k)."""
-    return m * k * (2 * n - 1)
 
 
 _bitrev_cache: dict[int, np.ndarray] = {}
@@ -114,27 +110,13 @@ def _fft_columns(x: np.ndarray, inverse: bool) -> np.ndarray:
     return out
 
 
-def fft(v, direction: str = "forward") -> np.ndarray:
-    """Radix-2 FFT of a power-of-two-length complex vector.
-
-    ``direction`` is "forward" or "inverse"; the inverse includes the 1/L
-    scaling so the two compose to the identity.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    vec = np.asarray(v, dtype=np.complex128)
-    if vec.ndim != 1 or vec.size < 1:
-        raise ShapeError("fft expects a nonempty 1-D vector")
-    return _fft_columns(vec[:, None], inverse=(direction == "inverse"))[:, 0]
-
-
-def _as_columns(a, rows: int, side_name: str) -> tuple[np.ndarray, bool]:
+def _as_columns(a, rows: int) -> tuple[np.ndarray, bool]:
     arr = np.asarray(a, dtype=float)
     was_vector = arr.ndim == 1
     if was_vector:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] != rows:
-        raise ShapeError(f"{side_name} operand must have {rows} rows, got shape {np.shape(a)}")
+        raise ShapeError(f"operand must have {rows} rows, got shape {np.shape(a)}")
     return arr, was_vector
 
 
@@ -178,24 +160,17 @@ class CirculantOperator:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
-    def transpose(self) -> "CirculantOperator":
-        c = self.first_column
-        return CirculantOperator(np.concatenate([c[:1], c[:0:-1]]))
-
     def materialize(self) -> np.ndarray:
         if self.n > _MATERIALIZE_CAP:
             raise SizeError(f"materialize caps n at {_MATERIALIZE_CAP}, got {self.n}")
         idx = np.mod(np.subtract.outer(np.arange(self.n), np.arange(self.n)), self.n)
         return self.first_column[idx]
 
-    def apply(self, a, side: str = "left") -> np.ndarray:
-        if side == "right":
-            return self.transpose().apply(np.asarray(a, dtype=float).T, "left").T
-        if side != "left":
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    def apply(self, a) -> np.ndarray:
+        """C @ a for a vector or an n-row matrix."""
         if self.spectrum is None:
             raise ShapeError(f"fast circulant apply needs power-of-two n, got {self.n}")
-        arr, was_vector = _as_columns(a, self.n, "left-apply")
+        arr, was_vector = _as_columns(a, self.n)
         out = _spectral_product(self.spectrum, arr, self.n)
         return out[:, 0] if was_vector else out
 
@@ -224,9 +199,6 @@ class ToeplitzOperator:
     def shape(self) -> tuple[int, int]:
         return (self.first_column.size, self.first_row.size)
 
-    def transpose(self) -> "ToeplitzOperator":
-        return ToeplitzOperator(self.first_row, self.first_column)
-
     def materialize(self) -> np.ndarray:
         m, n = self.shape
         if max(m, n) > _MATERIALIZE_CAP:
@@ -250,13 +222,10 @@ class ToeplitzOperator:
             self._embed_spectrum = _fft_columns(c.astype(np.complex128)[:, None], inverse=False)[:, 0]
         return self._embed_spectrum
 
-    def apply(self, a, side: str = "left") -> np.ndarray:
+    def apply(self, a) -> np.ndarray:
+        """T @ a for a vector or an n-row matrix (T is m-by-n)."""
         m, n = self.shape
-        if side == "right":
-            return self.transpose().apply(np.asarray(a, dtype=float).T, "left").T
-        if side != "left":
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        arr, was_vector = _as_columns(a, n, "left-apply")
+        arr, was_vector = _as_columns(a, n)
         out = _spectral_product(self._embedding(), arr, m)
         return out[:, 0] if was_vector else out
 
@@ -274,12 +243,6 @@ class HankelOperator:
     def materialize(self) -> np.ndarray:
         return self.toeplitz.materialize()[::-1].copy()
 
-    def apply(self, a, side: str = "left") -> np.ndarray:
-        if side == "left":
-            out = self.toeplitz.apply(a, "left")
-            return out[::-1].copy()
-        if side == "right":
-            arr = np.asarray(a, dtype=float)
-            flipped = arr[::-1] if arr.ndim == 1 else arr[:, ::-1]
-            return self.toeplitz.apply(flipped, "right")
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    def apply(self, a) -> np.ndarray:
+        """H @ a for a vector or an n-row matrix."""
+        return self.toeplitz.apply(a)[::-1].copy()

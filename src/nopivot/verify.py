@@ -287,11 +287,11 @@ def check_tail_bounds(seed: randgen.Seed, samples: int = 10_000) -> Verification
         raise ValueError(f"need at least 10^4 samples, got {samples}")
     report = VerificationReport(title=f"Gaussian tail bounds ({samples} samples/point)", seed=seed.master)
 
-    shapes = ((8, 4), (12, 8), (16, 16))
-    spectra = {}
-    for m, n in shapes:
-        g = seed.derive("tails", m, n).rng().standard_normal((samples, m, n))
-        spectra[(m, n)] = np.linalg.svd(g, compute_uv=False)
+    # Each sample block is dropped as soon as its SVD returns.
+    spectra = {
+        (m, n): np.linalg.svd(seed.derive("tails", m, n).rng().standard_normal((samples, m, n)), compute_uv=False)
+        for m, n in ((8, 4), (8, 8), (12, 8), (16, 16))
+    }
 
     for m, n in ((8, 4), (16, 16)):
         sv = spectra[(m, n)]
@@ -355,11 +355,7 @@ def check_tail_bounds(seed: randgen.Seed, samples: int = 10_000) -> Verification
     # Chen--Dongarra: P{kappa > x m/(m-n+1)} < (6.414/x)^(m-n+1) / sqrt(2 pi)
     # for x >= m-n+1 (sharp for square matrices, where P{kappa/n > x} ~ 2.4/x).
     for (m, n), xs in (((8, 8), (25.0, 100.0)), ((8, 4), (7.0, 10.0))):
-        sv = spectra.get((m, n))
-        if sv is None:
-            g = seed.derive("tails", m, n).rng().standard_normal((samples, m, n))
-            sv = np.linalg.svd(g, compute_uv=False)
-            spectra[(m, n)] = sv
+        sv = spectra[(m, n)]
         kappa = sv[:, 0] / sv[:, -1]
         scale = m / (m - n + 1)
         for x in xs:
@@ -682,25 +678,23 @@ def check_perturbation(seed: randgen.Seed, trials: int = 150, max_size: int = 12
 
 # --- elimination safety sweep -------------------------------------------------
 
+_SAFETY_BLOCK = 4
 
-def check_safety_bounds(
-    seed: randgen.Seed,
-    trials: int = 100,
-    n: int = 16,
-    block_size: int = 4,
-) -> VerificationReport:
+
+def check_safety_bounds(seed: randgen.Seed, trials: int = 100, n: int = 16) -> VerificationReport:
     """Pivot norms of scalar and block elimination on G^T G + I inputs.
 
+    Block elimination runs ``_SAFETY_BLOCK``-by-``_SAFETY_BLOCK`` pivot blocks.
     Every recorded pivot norm must stay below N_+ = N + N_- N^2 and every
     recorded inverse norm below N_-, with the growth factor capped by
     (N_+ N_-)^(log2 n).
     """
-    if n % block_size != 0:
-        raise ValueError("block_size must divide n")
+    if n % _SAFETY_BLOCK != 0:
+        raise ValueError(f"n must be a multiple of {_SAFETY_BLOCK}, got {n}")
     report = VerificationReport(
         title=f"elimination safety bounds ({trials} trials at n={n})", seed=seed.master
     )
-    schedule = (block_size,) * (n // block_size)
+    schedule = (_SAFETY_BLOCK,) * (n // _SAFETY_BLOCK)
     worst_margin = 0.0
     worst_growth = 0.0
     scalar_fail = 0
@@ -737,7 +731,7 @@ def check_safety_bounds(
     report.checks.append(
         BoundCheck(
             name="block-pivot-bounds",
-            params={"n": n, "schedule": f"{block_size}x{n // block_size}", "trials": trials},
+            params={"n": n, "schedule": f"{_SAFETY_BLOCK}x{n // _SAFETY_BLOCK}", "trials": trials},
             bound=1.0 + 1e-6,
             empirical=worst_margin,
             margin=0.0,

@@ -221,9 +221,9 @@ class TestGenerateAndSolve:
         assert safety == {"u_growth": 0.5, "min_pivot": 1.0, "max_pivot": 2.0}
 
     def test_solve_rhs_must_be_one_column(self, tmp_path, capsys):
-        # An instance file holds the n-by-n matrix first: read as a rhs it is not n-by-1.
-        assert cli.main(["--out", str(tmp_path), "generate", "--n", "8", "--h", "2"]) == 0
-        path = capsys.readouterr().out.strip()
+        # The n-by-n matrix file itself, read as a rhs, is not n-by-1.
+        path = str(tmp_path / "a.txt")
+        dense.write_matrix(instances.hard_matrix(Seed(7), 8, 2).matrix, path)
         code = cli.main(["solve", "--matrix", path, "--rhs", path, "--left", "none", "--right", "none"])
         assert code == 2
         captured = capsys.readouterr()
@@ -272,14 +272,16 @@ class TestUsageErrors:
             ["verify", "tails", "--samples", "10"],
             ["solve", "--matrix", "{entry}", "--rhs", "{rhs}"],
             ["solve", "--matrix", "{header}", "--rhs", "{rhs}"],
+            ["solve", "--matrix", "{instance}", "--rhs", "{rhs}"],
         ],
         ids=["dims-48", "trials-0", "nullity-at-n8", "safety-n15", "tails-samples-10",
-             "matrix-entry", "matrix-header"],
+             "matrix-entry", "matrix-header", "matrix-trailing-rows"],
     )
     def test_exits_two(self, argv, tmp_path, capsys):
         files = {
             "entry": "2 2\n1.0 2.0\n3.0 x\n",
             "header": "two 2\n1.0 2.0\n3.0 4.0\n",
+            "instance": "2 2\n1.0 2.0\n3.0 4.0\n2 1\n5.0\n6.0\n",
             "rhs": "2 1\n1.0\n1.0\n",
         }
         for name, text in files.items():

@@ -272,3 +272,8 @@ class TestTextFormat:
             dense.parse_matrix("2\n1\n2\n")
         with pytest.raises(ShapeError):
             dense.parse_matrix("")
+
+    def test_rows_after_the_header_count(self):
+        # An instance file: the matrix, then its right-hand side.
+        with pytest.raises(ShapeError, match="expected 2 data rows, got 5"):
+            dense.parse_matrix("2 2\n1 2\n3 4\n2 1\n5\n6\n")

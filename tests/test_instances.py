@@ -168,6 +168,12 @@ class TestInstanceFiles:
         assert loaded.n == 16 and loaded.h == 4
         assert loaded.seed.master == inst.seed.master
 
+    def test_rhs_block_must_be_one_column(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("# seed=0/0 n=2 h=0\n2 2\n1 2\n3 4\n2 2\n5 7\n6 8\n")
+        with pytest.raises(ShapeError, match="right-hand side must be 2-by-1, got 2-by-2"):
+            instances.read_instance(path)
+
     def test_header_line(self, tmp_path):
         inst = instances.hard_matrix(Seed(12), 8, 2)
         text = instances.format_instance(inst)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nopivot import factor, pipeline
-from nopivot.errors import ShapeError
+from nopivot.errors import ShapeError, SizeError
 from nopivot.instances import hard_matrix
-from nopivot.randgen import Seed, gaussian_matrix
+from nopivot.randgen import Seed, gaussian_circulant, gaussian_matrix, gaussian_toeplitz
 
 RNG = np.random.default_rng
 
@@ -235,13 +235,18 @@ class TestPreconditionedSolve:
         assert out.failure is None
         assert out.relative_residual <= 1e-6
 
-    def test_structured_fast_path_above_threshold(self):
-        # n = 128 runs the circulant multipliers without materializing them.
+    def test_structured_plan_is_the_dense_product(self):
+        # A circulant plan at n = 128 factors F @ A @ H with the drawn F and H.
         inst = hard_matrix(Seed(13), 128, 4)
         plan = pipeline.PreconditionPlan(left="circulant", right="circulant")
         out = pipeline.preconditioned_solve(inst.matrix, inst.rhs, plan, Seed(14))
+        f = gaussian_circulant(Seed(14).derive("left-multiplier"), 128).materialize()
+        h = gaussian_circulant(Seed(14).derive("right-multiplier"), 128).materialize()
+        fact, _ = factor.genp_factor(f @ inst.matrix @ h)
+        x = h @ factor.lu_solve(fact, f @ inst.rhs)
         assert out.failure is None
-        assert out.relative_residual <= 1e-5
+        assert np.array_equal(out.solution, x)
+        assert out.relative_residual == pipeline.relative_residual(inst.matrix, x, inst.rhs) <= 1e-5
 
     def test_local_safety_restored(self):
         # Leading blocks of the preconditioned matrix are numerically
@@ -301,11 +306,19 @@ class TestPlanValidation:
 
     def test_build_multiplier_kinds(self):
         assert pipeline.build_multiplier(None, 8, Seed(0)) is None
-        dense_mult = pipeline.build_multiplier("gaussian", 8, Seed(0))
-        assert dense_mult.shape == (8, 8)
-        circ = pipeline.build_multiplier("circulant", 8, Seed(0))
-        assert isinstance(circ, np.ndarray)  # materialized below the cutoff
-        big = pipeline.build_multiplier("circulant", 128, Seed(0))
-        assert not isinstance(big, np.ndarray)
         ints = pipeline.build_multiplier("finite-set", 8, Seed(0))
         assert set(np.unique(ints)) <= set(pipeline.DEFAULT_FINITE_SET.values)
+
+    @pytest.mark.parametrize("n", [8, 128])
+    @pytest.mark.parametrize("kind", pipeline.MULTIPLIER_KINDS)
+    def test_build_multiplier_is_dense(self, kind, n):
+        mult = pipeline.build_multiplier(kind, n, Seed(3))
+        assert type(mult) is np.ndarray and mult.shape == (n, n)
+        if kind in ("toeplitz", "hankel"):
+            assert np.array_equal(mult, gaussian_toeplitz(Seed(3), n, n, kind=kind).materialize())
+        elif kind == "circulant":
+            assert np.array_equal(mult, gaussian_circulant(Seed(3), n).materialize())
+
+    def test_structured_plan_above_the_cap(self):
+        with pytest.raises(SizeError):
+            pipeline.build_multiplier("circulant", 8192, Seed(0))

@@ -219,8 +219,8 @@ class TestSafetySuite:
         assert report.extras["block_failures"] == 0
 
     def test_block_size_must_divide(self):
-        with pytest.raises(ValueError):
-            verify.check_safety_bounds(Seed(0), trials=1, n=16, block_size=5)
+        with pytest.raises(ValueError, match="n must be a multiple of 4"):
+            verify.check_safety_bounds(Seed(0), trials=1, n=15)
 
 
 class TestReportRendering:
