@@ -15,9 +15,10 @@ read one step at a time; GEPP takes each from the up-to-date column k of the
 panel and swaps whole rows.  At n <= _PANEL, and for GENP under the monitor,
 which needs each step's full complement, the panel is the whole matrix: bit for
 bit the unblocked loop.  Every triangular solve -- L and U in ``lu_solve``,
-U^T and L^T in ``gepp_solve_transpose``, U_12 -- goes through one row
-substitution, ``_substitute``, forward for lower and backward for upper
-triangles.
+U^T and L^T in ``gepp_solve_transpose``, U_12, and the leaves of at most
+``_PANEL`` rows of the triangular inverses that ``inverse_norm_estimate``
+forms -- goes through one row substitution, ``_substitute``, forward for
+lower and backward for upper triangles.
 
 Every elimination produces a :class:`SafetyReport` of pivot statistics, and
 ``genp_factor`` adds the final-factor growth max|U| / max|A|.  The monitor is
@@ -33,6 +34,7 @@ against ``(N_+ N_-)^(log2 n)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,6 +259,13 @@ def genp_factor(a, *, monitor: str | None = None):
     return GenpFactorization(lower, upper), report
 
 
+def _swap_rows(m: np.ndarray, i: int, j: int) -> None:
+    """Exchange rows i and j of ``m`` in place, through views and one row copy."""
+    row = m[i].copy()
+    m[i] = m[j]
+    m[j] = row
+
+
 def gepp_factor(a) -> GeppFactorization:
     """LU factorization with partial pivoting; multipliers bounded by 1."""
     a = _require_square(a)
@@ -269,10 +278,9 @@ def gepp_factor(a) -> GeppFactorization:
         if abs(work[p, k]) < _GEPP_PIVOT_FLOOR:
             raise SingularMatrixError(f"no usable pivot in column {k + 1}", step=k + 1)
         if p != k:
-            work[[k, p], :] = work[[p, k], :]
-            perm[[k, p]] = perm[[p, k]]
-            if k > 0:
-                lower[[k, p], :k] = lower[[p, k], :k]
+            _swap_rows(work, k, p)
+            _swap_rows(lower[:, :k], k, p)
+            perm[k], perm[p] = perm[p], perm[k]
         _eliminate(work, lower, k, _PANEL)
     return GeppFactorization(perm, lower, np.triu(work))
 
@@ -329,31 +337,42 @@ def gepp_solve_transpose(fact: GeppFactorization, b) -> np.ndarray:
     return x
 
 
-def inverse_norm_estimate(a, fact: GeppFactorization | None = None) -> float:
-    """||A^{-1}|| by power iteration on A^{-1} A^{-T} using GEPP solves.
+def _triangular_inverse(t: np.ndarray, lower: bool, unit: bool) -> np.ndarray:
+    """Inverse of a triangle, split in halves down to leaves of at most ``_PANEL`` rows.
 
-    Cheap enough for n in the hundreds; accurate to a few digits, which is
-    all the instance-screening and monitoring paths need.
+    Each leaf is ``_substitute`` on the identity; the off-diagonal block of a
+    split costs two GEMMs: -T_22^{-1} T_21 T_11^{-1} (lower) or
+    -T_11^{-1} T_12 T_22^{-1} (upper).
+    """
+    n = t.shape[0]
+    if n <= _PANEL:
+        return _substitute(t, np.eye(n), lower=lower, unit=unit)
+    h = n // 2
+    inv = np.zeros((n, n))
+    inv[:h, :h] = _triangular_inverse(t[:h, :h], lower, unit)
+    inv[h:, h:] = _triangular_inverse(t[h:, h:], lower, unit)
+    if lower:
+        inv[h:, :h] = -inv[h:, h:] @ (t[h:, :h] @ inv[:h, :h])
+    else:
+        inv[:h, h:] = -inv[:h, :h] @ (t[:h, h:] @ inv[h:, h:])
+    return inv
+
+
+def inverse_norm_estimate(a, fact: GeppFactorization | None = None) -> float:
+    """||A^{-1}||_2 = ||U^{-1} L^{-1}||_2 from P A = L U (P does not change the norm).
+
+    Forms both triangular inverses and takes the power-iteration norm of their
+    product; returns inf when the inverse overflows.
     """
     a = _require_square(a)
     if fact is None:
         fact = gepp_factor(a)
-    rng = np.random.Generator(np.random.PCG64(0x1A2B3C4D))
-    w = rng.standard_normal(a.shape[0])
-    w /= np.linalg.norm(w)
-    estimate = 0.0
-    for _ in range(200):
-        u = gepp_solve_transpose(fact, w)
-        y = lu_solve(fact, u)
-        lam = float(np.linalg.norm(y))
-        if lam == 0.0:
-            return 0.0
-        w = y / lam
-        new_estimate = np.sqrt(lam)
-        if estimate > 0.0 and abs(new_estimate - estimate) <= 1e-9 * new_estimate:
-            return float(max(new_estimate, estimate))
-        estimate = new_estimate
-    return float(estimate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = _triangular_inverse(fact.u_factor, lower=False, unit=False)
+        inv = inv @ _triangular_inverse(fact.l_factor, lower=True, unit=True)
+    if not np.isfinite(inv).all():
+        return math.inf
+    return dense.spectral_norm_estimate(inv)
 
 
 def schur_complement(a, k: int) -> np.ndarray:

@@ -11,6 +11,8 @@ by ``materialize()`` instead: a BLAS GEMM with it is faster in wall time.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeError, SizeError
@@ -150,15 +152,17 @@ class CirculantOperator:
             raise ShapeError("first_column contains non-finite entries")
         self.first_column = c.copy()
         self.n = c.size
-        self.spectrum = (
-            _fft_columns(c.astype(np.complex128)[:, None], inverse=False)[:, 0]
-            if is_power_of_two(self.n)
-            else None
-        )
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray | None:
+        """Eigenvalues of C, the FFT of its first column; None unless n is a power of two."""
+        if not is_power_of_two(self.n):
+            return None
+        return _fft_columns(self.first_column.astype(np.complex128)[:, None], inverse=False)[:, 0]
 
     def materialize(self) -> np.ndarray:
         if self.n > _MATERIALIZE_CAP:
@@ -193,7 +197,6 @@ class ToeplitzOperator:
             raise ShapeError("generating coefficients contain non-finite entries")
         self.first_column = col.copy()
         self.first_row = row.copy()
-        self._embed_spectrum = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -210,23 +213,22 @@ class ToeplitzOperator:
             self.first_row[np.clip(-diff, 0, n - 1)],
         )
 
+    @functools.cached_property
     def _embedding(self) -> np.ndarray:
         """Spectrum of the power-of-two circulant that embeds this operator."""
-        if self._embed_spectrum is None:
-            m, n = self.shape
-            length = next_power_of_two(m + n - 1)
-            c = np.zeros(length)
-            c[:m] = self.first_column
-            if n > 1:
-                c[length - (n - 1) :] = self.first_row[1:][::-1]
-            self._embed_spectrum = _fft_columns(c.astype(np.complex128)[:, None], inverse=False)[:, 0]
-        return self._embed_spectrum
+        m, n = self.shape
+        length = next_power_of_two(m + n - 1)
+        c = np.zeros(length)
+        c[:m] = self.first_column
+        if n > 1:
+            c[length - (n - 1) :] = self.first_row[1:][::-1]
+        return _fft_columns(c.astype(np.complex128)[:, None], inverse=False)[:, 0]
 
     def apply(self, a) -> np.ndarray:
         """T @ a for a vector or an n-row matrix (T is m-by-n)."""
         m, n = self.shape
         arr, was_vector = _as_columns(a, n)
-        out = _spectral_product(self._embedding(), arr, m)
+        out = _spectral_product(self._embedding, arr, m)
         return out[:, 0] if was_vector else out
 
 

@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +132,31 @@ def reference_gepp_factor(a):
         lower[k + 1 :, k] = mults
         work[k + 1 :, k + 1 :] -= np.outer(mults, work[k, k + 1 :])
     return factor.GeppFactorization(perm, lower, np.triu(work))
+
+
+def frozen_gepp_factor(a):
+    """The blocked ``gepp_factor`` as it was with fancy-index row swaps."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    work = a.copy()
+    lower = np.eye(n)
+    perm = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(work[k:, k])))
+        if abs(work[p, k]) < factor._GEPP_PIVOT_FLOOR:
+            raise SingularMatrixError(f"no usable pivot in column {k + 1}", step=k + 1)
+        if p != k:
+            work[[k, p], :] = work[[p, k], :]
+            perm[[k, p]] = perm[[p, k]]
+            if k > 0:
+                lower[[k, p], :k] = lower[[p, k], :k]
+        factor._eliminate(work, lower, k, factor._PANEL)
+    return factor.GeppFactorization(perm, lower, np.triu(work))
+
+
+def column_dominant(seed, n):
+    """Strictly column diagonally dominant: GEPP keeps every row where it is."""
+    return RNG(seed).uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
 
 
 def integer_lu_product(seed, n, diagonal):
@@ -396,6 +423,31 @@ class TestBlockedGepp:
         x = fact.solve(b)
         assert np.allclose(x, want.solve(b), rtol=1e-9, atol=0)
         assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-9, atol=0)
+
+
+class TestGeppRowSwaps:
+    """Row exchanges through views leave every bit of the fancy-index swaps."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 256])
+    def test_bit_identical_to_fancy_index_swaps(self, n):
+        a = RNG(87 + n).standard_normal((n, n))
+        TestBlockedGepp.assert_identical(factor.gepp_factor(a), frozen_gepp_factor(a))
+
+    @pytest.mark.parametrize("n", [2, 65, 128])
+    def test_no_swap(self, n):
+        a = column_dominant(88, n)
+        fact = factor.gepp_factor(a)
+        assert np.array_equal(fact.permutation, np.arange(n))
+        TestBlockedGepp.assert_identical(fact, frozen_gepp_factor(a))
+
+    @pytest.mark.parametrize("n", [2, 65, 128])
+    def test_swap_at_every_step(self, n):
+        # Row i + 1 holds the pivot of step i, so step i exchanges rows i and
+        # i + 1 at every step but the last.
+        a = np.roll(column_dominant(89, n), 1, axis=0)
+        fact = factor.gepp_factor(a)
+        assert np.array_equal(fact.permutation, np.roll(np.arange(n), -1))
+        TestBlockedGepp.assert_identical(fact, frozen_gepp_factor(a))
 
 
 class TestGepp:
@@ -794,7 +846,80 @@ class TestSafetySplit:
         assert len(calls) == 16 + 1 + 15 + 7
 
 
+class TestTriangularInverse:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100, 129, 200, 256])
+    def test_matches_linalg_inv(self, n):
+        fact = factor.gepp_factor(RNG(90 + n).standard_normal((n, n)))
+        for t, lower, unit in ((fact.l_factor, True, True), (fact.u_factor, False, False)):
+            got = factor._triangular_inverse(t, lower=lower, unit=unit)
+            want = np.linalg.inv(t)
+            assert np.array_equal(got, np.tril(got) if lower else np.triu(got))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_unit_triangle_ignores_stored_diagonal(self):
+        t = np.tril(RNG(91).uniform(-1.0, 1.0, (100, 100)), -1)
+        want = factor._triangular_inverse(t + np.eye(100), lower=True, unit=True)
+        assert np.array_equal(factor._triangular_inverse(t + 5 * np.eye(100), lower=True, unit=True), want)
+
+    def test_zero_diagonal(self):
+        u = np.triu(RNG(92).standard_normal((100, 100))) + 10 * np.eye(100)
+        u[70, 70] = 0.0
+        with pytest.raises(SingularMatrixError):
+            factor._triangular_inverse(u, lower=False, unit=False)
+
+
 class TestInverseNormEstimate:
+    @staticmethod
+    def oracle(a):
+        return 1.0 / np.linalg.svd(a, compute_uv=False)[-1]
+
+    def test_hard_instances_match_svd(self):
+        worst = 0.0
+        for trial in range(100):
+            seed = experiments.instance_seed(experiments.DEFAULT_MASTER_SEED, 64, trial)
+            inst = hard_matrix(seed, 64, experiments.DEFAULT_NULLITY)
+            want = self.oracle(inst.matrix)
+            worst = max(worst, abs(factor.inverse_norm_estimate(inst.matrix) - want) / want)
+        assert worst <= 1e-7
+
+    def test_row_scaled_input(self):
+        n = 64
+        a = RNG(93).standard_normal((n, n))
+        scales = 10.0 ** np.where(np.arange(n) % 2 == 0, 8, -8)
+        # (D A)^{-1} = A^{-1} D^{-1}: scaling the columns of inv(A) is exact
+        # up to one rounding per entry, where an SVD of D A would not be.
+        want = np.linalg.svd(np.linalg.inv(a) / scales, compute_uv=False)[0]
+        got = factor.inverse_norm_estimate(scales[:, None] * a)
+        assert got == pytest.approx(want, rel=1e-7)
+
+    def test_order_96(self):
+        a = gaussian_matrix(Seed(94), 96, 96)
+        assert factor.inverse_norm_estimate(a) == pytest.approx(self.oracle(a), rel=1e-7)
+
+    @pytest.mark.parametrize("n, leaves", [(64, 2), (256, 8)])
+    def test_one_substitution_per_leaf(self, n, leaves, monkeypatch):
+        a = RNG(95).standard_normal((n, n))
+        fact = factor.gepp_factor(a)
+        shapes = []
+        original = factor._substitute
+        monkeypatch.setattr(factor, "_substitute", lambda t, b, **kw: shapes.append(b.shape) or original(t, b, **kw))
+        factor.inverse_norm_estimate(a, fact)
+        assert len(shapes) == leaves
+        assert max(rows for rows, _ in shapes) <= factor._PANEL
+
+    def test_overflowing_inverse_is_infinite(self):
+        # GEPP accepts this triangle, but its inverse has an entry of -1e600.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert factor.inverse_norm_estimate([[1e-300, 1.0], [0.0, 1e-300]]) == math.inf
+
+    def test_overflowing_inverse_reads_singular(self):
+        a = np.eye(130)
+        a[:2, :2] = [[1e-300, 1.0], [0.0, 1e-300]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert factor._sigma_extremes(a)[0] == 0.0
+
     def test_matches_jacobi(self):
         a = RNG(25).standard_normal((24, 24)) + 2 * np.eye(24)
         exact = 1.0 / dense.singular_values(a)[-1]

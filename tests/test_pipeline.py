@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nopivot import factor, pipeline
+from nopivot import factor, pipeline, transforms
 from nopivot.errors import ShapeError, SizeError
 from nopivot.instances import hard_matrix
 from nopivot.randgen import Seed, gaussian_circulant, gaussian_matrix, gaussian_toeplitz
@@ -318,6 +318,12 @@ class TestPlanValidation:
             assert np.array_equal(mult, gaussian_toeplitz(Seed(3), n, n, kind=kind).materialize())
         elif kind == "circulant":
             assert np.array_equal(mult, gaussian_circulant(Seed(3), n).materialize())
+
+    def test_build_multiplier_runs_no_fft(self):
+        transforms.op_counter.reset()
+        for kind in pipeline.MULTIPLIER_KINDS:
+            pipeline.build_multiplier(kind, 256, Seed(4))
+        assert transforms.op_counter.total == 0
 
     def test_structured_plan_above_the_cap(self):
         with pytest.raises(SizeError):

@@ -152,6 +152,18 @@ class TestCirculant:
         from_svd = dense.jacobi_svd(op.materialize()).singular_values
         assert np.allclose(from_fft, from_svd, atol=1e-10)
 
+    def test_spectrum_on_first_use(self):
+        transforms.op_counter.reset()
+        op = CirculantOperator(RNG(8).standard_normal(64))
+        op.materialize()
+        assert transforms.op_counter.total == 0
+        spectrum = op.spectrum
+        first = transforms.op_counter.total
+        assert first > 0
+        assert op.spectrum is spectrum and transforms.op_counter.total == first
+        assert np.allclose(spectrum, np.fft.fft(op.first_column), rtol=0, atol=1e-12)
+        assert CirculantOperator([1.0, 2.0, 3.0]).spectrum is None
+
     def test_fast_apply_needs_power_of_two(self):
         op = CirculantOperator([1.0, 2.0, 3.0])
         with pytest.raises(ShapeError):
