@@ -14,8 +14,13 @@ The JSON written to ``--out`` holds every run's environment line and result
 line, and per metric of ``BENCHMARK.json`` that the result lines carry: the
 median, q1 and q3 of each side, the pairs in which the change read better,
 the median's relative change, and whether the gap between the medians, in
-the better direction, exceeds the parent's interquartile range.  A one-line
-summary per metric goes to standard output.
+the better direction, exceeds the parent's interquartile range.  It also
+holds each side's range of rounds reached and every run whose result reads
+``correct: false``, with its seed, rounds and failed/attempted.  A run that
+exits non-zero is kept with its exit code and the tail of its standard error,
+its pair is left out of the statistics, and the series goes on.  A one-line
+summary per metric, the rounds, the incorrect runs and the failed runs go to
+standard output.
 """
 
 import argparse
@@ -28,6 +33,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+STDERR_TAIL = 20  # lines of standard error kept from a run that exits non-zero
 
 
 def metric_directions(benchmark: dict) -> dict:
@@ -44,7 +50,8 @@ def summarize(runs: list[dict], directions: dict) -> dict:
     """Per-metric statistics of paired runs, each ``{"pair", "side", "result"}``."""
     by_pair = {}
     for run in runs:
-        by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+        if "result" in run:
+            by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
     pairs = [by_pair[p] for p in sorted(by_pair) if set(by_pair[p]) == set(SIDES)]
     summary = {}
     for name, better in directions.items():
@@ -67,6 +74,32 @@ def summarize(runs: list[dict], directions: dict) -> dict:
     return summary
 
 
+def rounds_reached(runs: list[dict]) -> dict:
+    """``[fewest, most]`` rounds of each side's runs that printed an environment line."""
+    reached = {}
+    for side in SIDES:
+        rounds = [run["environment_line"]["rounds"] for run in runs if run["side"] == side and "result" in run]
+        if rounds:
+            reached[side] = [min(rounds), max(rounds)]
+    return reached
+
+
+def incorrect_runs(runs: list[dict]) -> list[dict]:
+    """Runs whose result line reads ``correct: false``: where, rounds, failed/attempted."""
+    return [
+        {
+            "pair": run["pair"],
+            "side": run["side"],
+            "seed": run["seed"],
+            "rounds": run["environment_line"]["rounds"],
+            "failed": run["result"]["failed"],
+            "attempted": run["result"]["attempted"],
+        }
+        for run in runs
+        if "result" in run and not run["result"]["correct"]
+    ]
+
+
 def parse_output(stdout: str) -> tuple[dict, dict]:
     """(environment line, result line) of one ``perfbench/run.py`` run: its last two lines."""
     lines = stdout.strip().splitlines()
@@ -75,10 +108,14 @@ def parse_output(stdout: str) -> tuple[dict, dict]:
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """``environment_line`` and ``result`` of one run, or its ``exit_code`` and ``stderr_tail``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return parse_output(out.stdout)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        return {"exit_code": out.returncode, "stderr_tail": out.stderr.splitlines()[-STDERR_TAIL:]}
+    env_line, result = parse_output(out.stdout)
+    return {"environment_line": env_line, "result": result}
 
 
 def main(argv=None) -> int:
@@ -98,18 +135,33 @@ def main(argv=None) -> int:
     for pair in range(args.pairs):
         seed = args.seed + pair
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            env_line, result = run_once(checkouts[side], args.workload, seed)
-            runs.append({"pair": pair, "side": side, "seed": seed, "environment_line": env_line, "result": result})
-            print(f"pair {pair} {side} seed {seed} correct {result['correct']}", file=sys.stderr, flush=True)
+            run = {"pair": pair, "side": side, "seed": seed, **run_once(checkouts[side], args.workload, seed)}
+            runs.append(run)
+            status = f"correct {run['result']['correct']}" if "result" in run else f"exit code {run['exit_code']}"
+            print(f"pair {pair} {side} seed {seed} {status}", file=sys.stderr, flush=True)
     summary = summarize(runs, directions)
+    reached = rounds_reached(runs)
+    incorrect = incorrect_runs(runs)
+    exited = [run for run in runs if "exit_code" in run]
     report = {
         "workload": args.workload,
         "seed": args.seed,
         "pairs": args.pairs,
         "runs": runs,
         "summary": summary,
+        "rounds_reached": reached,
+        "incorrect_runs": incorrect,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print("rounds reached: " + ", ".join(f"{side} {lo}..{hi}" for side, (lo, hi) in reached.items()))
+    for run in incorrect:
+        print(
+            f"correct false: pair {run['pair']} {run['side']} seed {run['seed']} rounds {run['rounds']} "
+            f"failed {run['failed']}/{run['attempted']}"
+        )
+    for run in exited:
+        last = run["stderr_tail"][-1] if run["stderr_tail"] else ""
+        print(f"exit code {run['exit_code']}: pair {run['pair']} {run['side']} seed {run['seed']}: {last}")
     for name, s in summary.items():
         print(
             f"{name}: {s['parent']['median']:.4g} (IQR {s['parent']['q3'] - s['parent']['q1']:.2g}) -> "

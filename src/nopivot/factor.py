@@ -506,14 +506,14 @@ def safety_bounds(a) -> SafetyBounds:
     """
     a = _require_square(a)
     n = a.shape[0]
-    norm = dense.spectral_norm(a)
     n_minus = 0.0
     for j in _leading_block_sizes(n):
         smin, smax = _sigma_extremes(a[:j, :j])
         if smin <= _PIVOT_BLOCK_RATIO * smax:
-            return SafetyBounds(n, norm, None, j)
+            return SafetyBounds(n, dense.spectral_norm(a), None, j)
         n_minus = max(n_minus, 1.0 / smin)
-    return SafetyBounds(n, norm, n_minus, None)
+    # The last block scanned is A itself, and its sigma_max is ||A||_2.
+    return SafetyBounds(n, smax, n_minus, None)
 
 
 def safety_check(bounds: SafetyBounds, report: SafetyReport) -> SafetyCheckResult:

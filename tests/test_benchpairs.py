@@ -72,25 +72,37 @@ def test_parse_output_takes_last_two_lines():
         benchpairs.parse_output("{}\n")
 
 
-def test_main_alternates_checkouts(tmp_path, capsys):
-    # Each fake checkout's run.py appends its side to a shared log and prints
-    # a result whose norm_cpu_s is its seed, scaled down in the change.
+def fake_checkouts(tmp_path, body=""):
+    """Parent and change checkouts whose run.py logs its side and seed, then
+    prints ``rounds`` = seed and ``norm_cpu_s`` = seed, halved in the change.
+    ``body`` runs first, with ``side`` and ``seed`` set."""
     log = tmp_path / "order.txt"
     for side, scale in (("parent", 1.0), ("change", 0.5)):
         bench = tmp_path / side / "perfbench"
         bench.mkdir(parents=True)
         (bench / "run.py").write_text(
             "import json, sys\n"
-            f"open({str(log)!r}, 'a').write({side!r} + ' ' + sys.argv[sys.argv.index('--seed') + 1] + '\\n')\n"
+            f"side = {side!r}\n"
             "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
-            "print(json.dumps({'environment': {'seed': seed}}))\n"
-            "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {\n"
+            f"open({str(log)!r}, 'a').write(side + ' ' + str(seed) + '\\n')\n"
+            f"{body}"
+            "correct = not (side == 'change' and seed == 11)\n"
+            "print(json.dumps({'environment': {'seed': seed}, 'rounds': seed}))\n"
+            "print(json.dumps({'correct': correct, 'attempted': 4, 'failed': int(not correct), 'metrics': {\n"
             f"    'norm_cpu_s': {{'value': seed * {scale}, 'unit': 's'}}}}}}))\n"
         )
+    return log
+
+
+def bench_argv(tmp_path, out, pairs=3):
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--pairs", str(pairs), "--seed", "10", "--out", str(out)]
+
+
+def test_main_alternates_checkouts(tmp_path, capsys):
+    log = fake_checkouts(tmp_path)
     out = tmp_path / "bench.json"
-    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-            "--workload", "w", "--pairs", "3", "--seed", "10", "--out", str(out)]
-    assert benchpairs.main(argv) == 0
+    assert benchpairs.main(bench_argv(tmp_path, out)) == 0
     assert log.read_text().split("\n")[:-1] == [
         "parent 10", "change 10", "change 11", "parent 11", "parent 12", "change 12",
     ]
@@ -98,7 +110,43 @@ def test_main_alternates_checkouts(tmp_path, capsys):
     assert [(r["pair"], r["side"], r["seed"]) for r in report["runs"]][:3] == [
         (0, "parent", 10), (0, "change", 10), (1, "change", 11),
     ]
-    assert report["runs"][0]["environment_line"] == {"environment": {"seed": 10}}
+    assert report["runs"][0]["environment_line"] == {"environment": {"seed": 10}, "rounds": 10}
     cpu = report["summary"]["norm_cpu_s"]
     assert (cpu["parent"]["median"], cpu["change"]["median"], cpu["change_wins"]) == (11.0, 5.5, 3)
-    assert "norm_cpu_s: 11 (IQR 1) -> 5.5 s, change better in 3/3" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "norm_cpu_s: 11 (IQR 1) -> 5.5 s, change better in 3/3" in printed
+    assert "rounds reached: parent 10..12, change 10..12" in printed
+
+
+def test_incorrect_run_is_listed(tmp_path, capsys):
+    fake_checkouts(tmp_path)
+    out = tmp_path / "bench.json"
+    benchpairs.main(bench_argv(tmp_path, out))
+    report = json.loads(out.read_text())
+    assert report["incorrect_runs"] == [
+        {"pair": 1, "side": "change", "seed": 11, "rounds": 11, "failed": 1, "attempted": 4},
+    ]
+    assert report["rounds_reached"] == {"parent": [10, 12], "change": [10, 12]}
+    assert "correct false: pair 1 change seed 11 rounds 11 failed 1/4" in capsys.readouterr().out
+
+
+def test_failed_run_is_recorded_and_the_series_goes_on(tmp_path, capsys):
+    body = (
+        "if side == 'parent' and seed == 11:\n"
+        "    sys.stderr.write('\\n'.join(f'line {k}' for k in range(30)) + '\\n')\n"
+        "    sys.exit(3)\n"
+    )
+    log = fake_checkouts(tmp_path, body)
+    out = tmp_path / "bench.json"
+    assert benchpairs.main(bench_argv(tmp_path, out)) == 0
+    assert len(log.read_text().split("\n")[:-1]) == 6
+    report = json.loads(out.read_text())
+    failed = [r for r in report["runs"] if "exit_code" in r]
+    assert failed == [{
+        "pair": 1, "side": "parent", "seed": 11, "exit_code": 3,
+        "stderr_tail": [f"line {k}" for k in range(30 - benchpairs.STDERR_TAIL, 30)],
+    }]
+    # Pair 1 lacks its parent run, so only pairs 0 and 2 enter the statistics.
+    assert report["summary"]["norm_cpu_s"]["pairs"] == 2
+    assert report["rounds_reached"] == {"parent": [10, 12], "change": [10, 12]}
+    assert "exit code 3: pair 1 parent seed 11: line 29" in capsys.readouterr().out

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nopivot import dense
-from nopivot.errors import ShapeError, SizeError
+from nopivot.errors import ConvergenceError, ShapeError, SizeError
 
 RNG = np.random.default_rng
 
@@ -146,6 +146,91 @@ class TestJacobiSvd:
     def test_dimension_cap(self):
         with pytest.raises(SizeError):
             dense.jacobi_svd(np.zeros((1030, 1030)))
+
+
+def reference_cyclic_singular_values(a, tol=1e-14, max_sweeps=60):
+    """Singular values from the cyclic one-sided Jacobi loop, one column pair at a time."""
+    work = np.array(a, dtype=float)
+    if work.shape[0] < work.shape[1]:
+        work = work.T.copy()
+    n = work.shape[1]
+    for _ in range(max_sweeps):
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                cols = work[:, (i, j)]
+                g = cols.T @ cols
+                alpha, beta, gamma = g[0, 0], g[1, 1], g[0, 1]
+                denom = alpha * beta
+                if denom <= 0.0 or abs(gamma) / np.sqrt(denom) <= tol:
+                    continue
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = np.sign(zeta) if zeta != 0 else 1.0
+                t /= abs(zeta) + np.hypot(1.0, zeta)
+                c = 1.0 / np.hypot(1.0, t)
+                s = c * t
+                work[:, (i, j)] = cols @ np.array([[c, s], [-s, c]])
+                rotated = True
+        if not rotated:
+            return np.sort(np.sqrt(np.einsum("ij,ij->j", work, work)))[::-1]
+    raise AssertionError("reference Jacobi did not converge")
+
+
+def graded(seed, m, n):
+    """Gaussian columns scaled from 1e-10 to 1e10."""
+    return RNG(seed).standard_normal((m, n)) * np.logspace(-10, 10, n)
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_every_pair_once_in_disjoint_steps(self, n):
+        steps = dense._round_robin(n)
+        assert len(steps) == (0 if n == 1 else n - 1 + n % 2)
+        pairs = []
+        for step in steps:
+            assert step.ndim == 2 and step.shape[1] == 2 and not step.flags.writeable
+            assert len(set(step.ravel().tolist())) == step.size
+            pairs += [tuple(p) for p in step.tolist()]
+        assert all(i < j for i, j in pairs)
+        assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+class TestJacobiAgainstCyclicReference:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            graded(40, 12, 12),
+            graded(41, 20, 9),
+            RNG(42).standard_normal((10, 4)) @ RNG(43).standard_normal((4, 10)),
+            np.column_stack([RNG(44).standard_normal((7, 3)), np.zeros(7), RNG(45).standard_normal((7, 2))]),
+            RNG(46).standard_normal((1, 6)),
+            RNG(47).standard_normal((6, 1)),
+            RNG(48).standard_normal((5, 11)),
+            RNG(49).standard_normal((17, 17)),
+        ],
+        ids=["graded-square", "graded-tall", "rank-4", "zero-column", "1xn", "mx1", "wide", "square-17"],
+    )
+    def test_singular_values_agree(self, a):
+        mine = dense.singular_values(a)
+        ref = reference_cyclic_singular_values(a)
+        assert mine.shape == ref.shape
+        # Rank-deficient input: singular values at rounding level of sigma_1 are noise in both.
+        floor = 1e-13 * ref[0] if np.linalg.matrix_rank(a) < min(a.shape) else 0.0
+        assert np.all(np.abs(mine - ref) <= 1e-13 * ref + floor)
+
+    def test_vectors_of_graded_input(self):
+        a = graded(50, 9, 9)
+        res = dense.jacobi_svd(a)
+        assert np.allclose(res.singular_values, reference_cyclic_singular_values(a), rtol=1e-13, atol=0.0)
+        assert np.linalg.norm(res.right_factor.T @ res.right_factor - np.eye(9)) <= 1e-13
+        assert np.linalg.norm(res.reconstruct() - a) <= 1e-13 * np.linalg.norm(a)
+
+    def test_sweep_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(dense, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            dense.singular_values(RNG(51).standard_normal((8, 8)))
+        assert info.value.residual > dense._JACOBI_TOL
+        assert "did not converge in 1 sweeps" in str(info.value)
 
 
 class TestHouseholderQr:

@@ -819,6 +819,15 @@ class TestSafetySplit:
         a = spd_like(45, n)
         self.assert_same(a, factor.block_genp_factor(a, (65, 65), monitor="spectral")[1])
 
+    @pytest.mark.parametrize("make", [lambda: spd_like(50, 16), lambda: spd_like(51, 130),
+                                      lambda: hard_matrix(Seed(100).derive("i", 2), 64, 4).matrix],
+                             ids=["n16", "n130-sampled", "hard-stops-early"])
+    def test_input_norm_is_the_spectral_norm_bit_for_bit(self, make):
+        a = make()
+        bounds = factor.safety_bounds(a)
+        assert bounds.input_norm == dense.spectral_norm(a)
+        assert (bounds.singular_block is not None) == (a.shape[0] == 64)
+
     def test_order_mismatch_rejected(self):
         _, report = factor.genp_factor(spd_like(46, 4))
         with pytest.raises(ShapeError):
@@ -836,14 +845,15 @@ class TestSafetySplit:
         assert (8, 8) not in shapes
 
     def test_suite_trial_svd_count(self, monkeypatch):
-        # n = 16, block 4: 16 scan blocks, ||A||_2, 15 GENP complements, and
-        # 4 pivot blocks plus 3 complements of the block run (58 with a scan
-        # per check and ||A||_2 in every elimination and check).
+        # n = 16, block 4: 16 scan blocks, the last of which gives ||A||_2,
+        # 15 GENP complements, and 4 pivot blocks plus 3 complements of the
+        # block run (58 with a scan per check and ||A||_2 in every elimination
+        # and check).
         calls = []
         original = dense.singular_values
         monkeypatch.setattr(dense, "singular_values", lambda m: calls.append(1) or original(m))
         verify.check_safety_bounds(Seed(48), trials=1, n=16)
-        assert len(calls) == 16 + 1 + 15 + 7
+        assert len(calls) == 16 + 15 + 7
 
 
 class TestTriangularInverse:
