@@ -37,9 +37,12 @@ _BAREISS_BITS = 127
 
 
 def _as_int_rows(m) -> list[list[int]]:
-    arr = np.asarray(m, dtype=object)
+    is_int_array = isinstance(m, np.ndarray) and m.dtype.kind in "iu"
+    arr = m if is_int_array else np.asarray(m, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ShapeError(f"need a nonempty square matrix, got shape {arr.shape}")
+    if is_int_array:
+        return arr.tolist()  # exact Python ints, uint64 included
     rows = []
     for row in arr:
         out = []
@@ -268,6 +271,8 @@ def check_finite_set_singularity(
 
 # Constant from the Chen--Dongarra condition-number tail estimate.
 _CONDITION_TAIL_CONSTANT = 6.414
+# Gaussian samples drawn and reduced by one batched SVD at a time.
+_TAIL_CHUNK = 1000
 
 
 def _tail_point(name, params, bound, empirical, samples) -> BoundCheck:
@@ -280,18 +285,26 @@ def check_tail_bounds(seed: randgen.Seed, samples: int = 10_000) -> Verification
     """Monte-Carlo tail frequencies for Gaussian matrices vs. closed-form bounds.
 
     Per-sample singular values come from numpy's batched SVD; the bounds are
-    the independent side of the comparison.  The m-by-1 condition number is
-    checked to be exactly 1 through the package's own SVD.
+    the independent side of the comparison.  Samples are drawn and reduced in
+    chunks of ``_TAIL_CHUNK``, keeping two singular values per sample, so no
+    whole sample stack is ever held.  The m-by-1 condition number is checked
+    to be exactly 1 through the package's own SVD.
     """
     if samples < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {samples}")
     report = VerificationReport(title=f"Gaussian tail bounds ({samples} samples/point)", seed=seed.master)
 
-    # Each sample block is dropped as soon as its SVD returns.
-    spectra = {
-        (m, n): np.linalg.svd(seed.derive("tails", m, n).rng().standard_normal((samples, m, n)), compute_uv=False)
-        for m, n in ((8, 4), (8, 8), (12, 8), (16, 16))
-    }
+    # sigma_max and sigma_min of each sample.  The chunks continue the shape's
+    # one stream and the batched SVD treats each matrix alone, so the values
+    # do not depend on the chunk size.
+    spectra = {}
+    for m, n in ((8, 4), (8, 8), (12, 8), (16, 16)):
+        rng = seed.derive("tails", m, n).rng()
+        extremes = spectra[(m, n)] = np.empty((samples, 2))
+        for start in range(0, samples, _TAIL_CHUNK):
+            stop = min(start + _TAIL_CHUNK, samples)
+            sv = np.linalg.svd(rng.standard_normal((stop - start, m, n)), compute_uv=False)
+            extremes[start:stop] = sv[:, [0, -1]]
 
     for m, n in ((8, 4), (16, 16)):
         sv = spectra[(m, n)]

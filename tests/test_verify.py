@@ -1,10 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nopivot import dense, verify
-from nopivot.errors import SizeError
+from nopivot.errors import ShapeError, SizeError
 from nopivot.randgen import FiniteSet, Seed
 
 RNG = np.random.default_rng
@@ -60,6 +63,46 @@ class TestExactDeterminant:
     def test_integrality_required(self):
         with pytest.raises(ValueError):
             verify.exact_determinant_int([[1.5, 0.0], [0.0, 1.0]])
+
+
+def object_path_rows(m):
+    """The per-entry conversion that every non-integer-array input takes."""
+    return [[int(v) for v in row] for row in np.asarray(m, dtype=object)]
+
+
+class TestAsIntRows:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[3, -2], [7, 0]], dtype=np.int64),
+            np.array([[255, 0, 1], [2, 3, 4], [5, 6, 7]], dtype=np.uint8),
+            np.array([[2**64 - 1, 1], [2**63 + 5, 0]], dtype=np.uint64),
+            [[1, 2], [3, 4]],
+            [[1.0, -2.0], [3.0, 4.0]],
+        ],
+        ids=["int64", "uint8", "uint64-above-2^63", "list", "integral-floats"],
+    )
+    def test_same_rows_as_object_path(self, m):
+        rows = verify._as_int_rows(m)
+        assert rows == object_path_rows(m)
+        assert all(type(v) is int for row in rows for v in row)
+
+    def test_uint64_stays_exact(self):
+        big = 2**63 + 5
+        assert verify._as_int_rows(np.array([[big]], dtype=np.uint64)) == [[big]]
+
+    def test_non_integral_float_raises(self):
+        with pytest.raises(ValueError):
+            verify._as_int_rows(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.zeros((2, 3), dtype=np.int64), np.zeros((0, 0), dtype=np.int64), [[1, 2]], []],
+        ids=["int-non-square", "int-empty", "list-non-square", "list-empty"],
+    )
+    def test_shape_errors(self, m):
+        with pytest.raises(ShapeError):
+            verify._as_int_rows(m)
 
 
 class TestLeadingMinors:
@@ -155,6 +198,97 @@ class TestTailBounds:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             verify.check_tail_bounds(Seed(0), samples=100)
+
+
+def one_shot_tail_report(seed, samples):
+    """The tail suite as it was before chunking: one whole stack per shape."""
+    report = verify.VerificationReport(title=f"Gaussian tail bounds ({samples} samples/point)", seed=seed.master)
+    spectra = {
+        (m, n): np.linalg.svd(seed.derive("tails", m, n).rng().standard_normal((samples, m, n)), compute_uv=False)
+        for m, n in ((8, 4), (8, 8), (12, 8), (16, 16))
+    }
+    for m, n in ((8, 4), (16, 16)):
+        norms = spectra[(m, n)][:, 0]
+        for t in (1.0, 2.0, 3.0):
+            threshold = t + math.sqrt(m) + math.sqrt(n)
+            report.checks.append(
+                verify._tail_point(
+                    "norm-tail", {"m": m, "n": n, "t": t}, math.exp(-t * t / 2.0),
+                    float(np.mean(norms > threshold)), samples,
+                )
+            )
+        h = max(m, n)
+        for off in (0.5, 1.5):
+            z = 2.0 * math.sqrt(h) + off
+            report.checks.append(
+                verify._tail_point(
+                    "norm-tail-2sqrt", {"m": m, "n": n, "z": round(z, 3)}, math.exp(-off * off / 2.0),
+                    float(np.mean(norms > z)), samples,
+                )
+            )
+    for m, n in ((8, 4), (12, 8)):
+        smallest = spectra[(m, n)][:, -1]
+        for x in (1.0, 2.0, 3.0):
+            report.checks.append(
+                verify._tail_point(
+                    "smallest-sv-tail", {"m": m, "n": n, "x": x}, x ** (m - n + 1) / math.gamma(m - n + 2),
+                    float(np.mean(smallest <= x * x / m)), samples,
+                )
+            )
+    for m in (4, 8):
+        norms = np.linalg.norm(seed.derive("tails-vector", m).rng().standard_normal((samples, m)), axis=1)
+        for x in (2.0, 4.0):
+            report.checks.append(
+                verify._tail_point(
+                    "vector-smallest-sv-tail", {"m": m, "x": x},
+                    (m / 2.0) ** ((m - 2) / 2.0) / (math.gamma(m / 2.0) * x**m),
+                    float(np.mean(norms <= 1.0 / x)), samples,
+                )
+            )
+    for (m, n), xs in (((8, 8), (25.0, 100.0)), ((8, 4), (7.0, 10.0))):
+        sv = spectra[(m, n)]
+        kappa = sv[:, 0] / sv[:, -1]
+        for x in xs:
+            report.checks.append(
+                verify._tail_point(
+                    "condition-tail", {"m": m, "n": n, "x": x},
+                    (verify._CONDITION_TAIL_CONSTANT / x) ** (m - n + 1) / math.sqrt(math.tau),
+                    float(np.mean(kappa > m / (m - n + 1) * x)), samples,
+                )
+            )
+    for m in (1, 5, 16):
+        count = min(samples, 1000)
+        rng = seed.derive("tails-kappa1", m).rng()
+        worst = 0.0
+        for _ in range(count):
+            sigma = dense.singular_values(rng.standard_normal((m, 1)))
+            worst = max(worst, abs(sigma[0] / sigma[-1] - 1.0))
+        report.checks.append(
+            verify.BoundCheck("vector-condition-exact", {"m": m}, 1e-12, worst, 0.0, count, worst <= 1e-12)
+        )
+    return report
+
+
+class TestStreamedTailBounds:
+    @pytest.mark.parametrize("samples", [10_000, 10_500])
+    def test_report_equals_one_shot(self, samples):
+        assert verify.check_tail_bounds(Seed(3), samples=samples).to_dict() == (
+            one_shot_tail_report(Seed(3), samples).to_dict()
+        )
+
+    def test_report_does_not_depend_on_chunk_size(self, tail_report, monkeypatch):
+        for chunk in (7, 10_000, 50_000):
+            monkeypatch.setattr(verify, "_TAIL_CHUNK", chunk)
+            assert verify.check_tail_bounds(Seed(2), samples=10_000).to_dict() == tail_report.to_dict()
+
+    def test_peak_memory_does_not_grow_with_the_stack(self):
+        tracemalloc.start()
+        try:
+            verify.check_tail_bounds(Seed(7), samples=40_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
 class TestSpectralBounds:
